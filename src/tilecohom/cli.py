@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .exactfield import ParseError, format_quadrat
 from .homalg import beta_matrix, rank_and_cokernel, smith
 from .lineorbits import candidate_lines, orbit_partition, reduce_gamma
-from .pointorbits import ConsistencyError, build_tables
-from .exactfield import format_quadrat
+from .pointorbits import ConsistencyError
 from .report import (
-    DENOMINATOR_WARN_LIMIT,
     compute,
-    large_denominator,
+    dump_json,
+    dump_text,
     parse_gamma,
+    payload,
     render,
+    table_lines,
 )
 from .window import build_window, enumerate_cubes, verify_counts
+
+#: The keys of the report payload that `tables --json` prints.
+TABLES_KEYS = ("schema", "gamma", "line_types", "L0_by_p", "L0", "sum_L0alpha")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,12 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the acceptance suite and exit",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, needs_gamma, has_json in (
-        ("report", True, True),
-        ("l1", True, True),
-        ("tables", True, True),
-        ("smith", False, True),
-        ("verify-window", False, True),
+    for name, needs_gamma in (
+        ("report", True),
+        ("l1", True),
+        ("tables", True),
+        ("smith", False),
+        ("verify-window", False),
     ):
         p = sub.add_parser(name)
         if needs_gamma:
@@ -47,124 +51,83 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar='"<q>,<q>"',
                 help="gamma as two Q(√3) values, each written p/q+r/s√3",
             )
-        if has_json:
-            p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--quiet", action="store_true")
+        p.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
 
-def _load_gamma(args, out_err):
-    raw = parse_gamma(args.gamma)
-    gamma = reduce_gamma(raw)
-    if large_denominator(gamma) and not args.quiet:
-        print(
-            f"warning: gamma denominator exceeds {DENOMINATOR_WARN_LIMIT};"
-            " exact arithmetic continues but expect slow reductions",
-            file=out_err,
-        )
-    return gamma
+def _load_gamma(args):
+    return reduce_gamma(parse_gamma(args.gamma))
 
 
-def _cmd_report(args, out, out_err) -> int:
-    gamma = _load_gamma(args, out_err)
-    result = compute(gamma.pair())
-    out.write(render(result, "json" if args.as_json else "text").decode("utf-8"))
-    return 0
+def _cmd_report(args):
+    result = compute(_load_gamma(args).pair())
+    return render(result, "json" if args.as_json else "text"), 0
 
 
-def _cmd_l1(args, out, out_err) -> int:
-    gamma = _load_gamma(args, out_err)
+def _cmd_l1(args):
+    gamma = _load_gamma(args)
     orbits = orbit_partition(candidate_lines(gamma))
-    counts = orbits.per_direction()
-    reps = {
-        d: [f"({o.representative.anchor.u}, {o.representative.anchor.v})"
-            for o in orbits.orbits_for(d)]
+    counts = list(orbits.per_direction().values())
+    reps = [
+        [f"({o.representative.anchor.u}, {o.representative.anchor.v})"
+         for o in orbits.orbits_for(d)]
         for d in range(6)
-    }
+    ]
     if args.as_json:
-        payload = {
+        return dump_json({
             "schema": 1,
             "gamma": [format_quadrat(gamma.g1), format_quadrat(gamma.g2)],
             "L1": orbits.L1,
-            "per_direction": [counts[d] for d in range(6)],
+            "per_direction": counts,
             "representatives": {str(d): reps[d] for d in range(6)},
-        }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                         ensure_ascii=False), file=out)
-        return 0
-    print(f"gamma = ({gamma.g1}, {gamma.g2})", file=out)
-    print(f"L1 = {orbits.L1}", file=out)
-    print("per direction: " + " ".join(str(counts[d]) for d in range(6)), file=out)
-    for d in range(6):
-        print(f"x^{d}: " + ", ".join(reps[d]), file=out)
-    return 0
+        }), 0
+    return dump_text([
+        f"gamma = ({gamma.g1}, {gamma.g2})",
+        f"L1 = {orbits.L1}",
+        "per direction: " + " ".join(str(c) for c in counts),
+        *(f"x^{d}: " + ", ".join(reps[d]) for d in range(6)),
+    ]), 0
 
 
-def _cmd_tables(args, out, out_err) -> int:
-    gamma = _load_gamma(args, out_err)
-    tables = build_tables(orbit_partition(candidate_lines(gamma)))
+def _cmd_tables(args):
+    result = compute(_load_gamma(args).pair())
     if args.as_json:
-        payload = {
-            "schema": 1,
-            "gamma": [format_quadrat(gamma.g1), format_quadrat(gamma.g2)],
-            "line_types": [
-                {"n": t.n, "dir": t.parity, "by_p": list(t.by_p),
-                 "total": t.total}
-                for t in tables.types
-            ],
-            "L0_by_p": list(tables.L0_by_p),
-            "L0": tables.L0,
-            "sum_L0alpha": tables.sum_L0alpha,
-        }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                         ensure_ascii=False), file=out)
-        return 0
-    header = ["n", "dir", "p=2", "p=3", "p=4", "p=5", "p=6", "total"]
-    rows = [
-        [str(t.n), t.parity, *[str(c) for c in t.by_p], str(t.total)]
-        for t in tables.types
-    ]
-    rows.append(
-        ["L0", "", *[str(c) for c in tables.L0_by_p], str(tables.L0)]
-    )
-    widths = [max(len(h), *(len(r[k]) for r in rows)) for k, h in enumerate(header)]
-    print(" | ".join(h.rjust(w) for h, w in zip(header, widths)), file=out)
-    for r in rows:
-        print(" | ".join(c.rjust(w) for c, w in zip(r, widths)), file=out)
-    print(f"sum L0^a = {tables.sum_L0alpha}   L0 = {tables.L0}", file=out)
-    return 0
+        full = payload(result)
+        return dump_json({key: full[key] for key in TABLES_KEYS}), 0
+    footer = ["L0", "", *result.L0_by_p, result.L0]
+    return dump_text([
+        *table_lines(result.line_type_table, footer),
+        f"sum L0^a = {result.sum_L0alpha}   L0 = {result.L0}",
+    ]), 0
 
 
-def _cmd_smith(args, out, out_err) -> int:
+def _cmd_smith(args):
     matrix = beta_matrix()
     form = smith(matrix)
     info = rank_and_cokernel()
     if args.as_json:
-        payload = {
+        return dump_json({
             "schema": 1,
             "beta": [list(row) for row in matrix],
             "factors": list(form.factors),
             "R": info["R"],
             "torsion_free": info["torsion_free"],
-        }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")),
-              file=out)
-        return 0
-    print("beta =", file=out)
-    for row in matrix:
-        print("  " + " ".join(f"{v:3d}" for v in row), file=out)
-    print("invariant factors: " + " ".join(str(f) for f in form.factors),
-          file=out)
-    print(f"R = {info['R']}", file=out)
-    print(f"torsion-free: {'yes' if info['torsion_free'] else 'NO'}", file=out)
-    return 0
+        }), 0
+    return dump_text([
+        "beta =",
+        *("  " + " ".join(f"{v:3d}" for v in row) for row in matrix),
+        "invariant factors: " + " ".join(str(f) for f in form.factors),
+        f"R = {info['R']}",
+        f"torsion-free: {'yes' if info['torsion_free'] else 'NO'}",
+    ]), 0
 
 
-def _cmd_verify_window(args, out, out_err) -> int:
+def _cmd_verify_window(args):
     result = verify_counts()
+    code = 0 if result["ok"] else 3
     if args.as_json:
         window = build_window()
-        payload = {
+        return dump_json({
             "schema": 1,
             **{k: v for k, v in result.items()
                if k not in ("valency_histogram", "cubes_per_vertex")},
@@ -181,22 +144,18 @@ def _cmd_verify_window(args, out, out_err) -> int:
                  "codes": list(c.codes)}
                 for c in enumerate_cubes()
             ],
-        }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                         ensure_ascii=False), file=out)
-    else:
-        for key in ("vertices", "edges", "faces", "cubes", "long_cubes"):
-            print(f"{key}: {result[key]}", file=out)
-        print("valency histogram: " + ", ".join(
+        }), code
+    return dump_text([
+        *(f"{key}: {result[key]}"
+          for key in ("vertices", "edges", "faces", "cubes", "long_cubes")),
+        "valency histogram: " + ", ".join(
             f"{k}:{v}" for k, v in sorted(result["valency_histogram"].items())),
-            file=out)
-        print("cubes per vertex: " + ", ".join(
-            f"{k}:{sorted(v)}" for k, v in
-            sorted(result["cubes_per_vertex"].items())), file=out)
-        for key in ("edge_length_sq_uniform", "corners_on_window",
-                    "boundary_facets_independent", "sublattice", "ok"):
-            print(f"{key}: {result[key]}", file=out)
-    return 0 if result["ok"] else 3
+        "cubes per vertex: " + ", ".join(
+            f"{k}:{sorted(v)}" for k, v in sorted(result["cubes_per_vertex"].items())),
+        *(f"{key}: {result[key]}"
+          for key in ("edge_length_sq_uniform", "corners_on_window",
+                      "boundary_facets_independent", "sublattice", "ok")),
+    ]), code
 
 
 _COMMANDS = {
@@ -208,11 +167,28 @@ _COMMANDS = {
 }
 
 
+def _glue_gamma(argv):
+    """Write `--gamma <value>` as `--gamma=<value>`.
+
+    argparse reads a value that starts with "-", such as "-27/2,0", as an
+    unknown option and rejects the command; the joined form keeps it a value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--gamma" and arg.startswith("-") \
+                and arg not in ("-h", "--help", "--json"):
+            out[-1] = f"--gamma={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None, out=None, out_err=None) -> int:
+    """Run one subcommand; exit 2 on malformed input, 3 on an internal fault."""
     out = out if out is not None else sys.stdout
     out_err = out_err if out_err is not None else sys.stderr
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_gamma(sys.argv[1:] if argv is None else argv))
     if args.selftest:
         from .accept import run_all
 
@@ -221,13 +197,17 @@ def main(argv=None, out=None, out_err=None) -> int:
         parser.print_usage(out_err)
         return 2
     try:
-        return _COMMANDS[args.command](args, out, out_err)
-    except ValueError as exc:
+        data, code = _COMMANDS[args.command](args)
+    except ParseError as exc:
         print(f"error: {exc}", file=out_err)
         return 2
-    except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=out_err)
+    except (ConsistencyError, AssertionError, ValueError) as exc:
+        where = f" --gamma={args.gamma}" if getattr(args, "gamma", None) else ""
+        print(f"internal failure in {args.command}{where}:"
+              f" {type(exc).__name__}: {exc}", file=out_err)
         return 3
+    out.write(data.decode("utf-8"))
+    return code
 
 
 if __name__ == "__main__":

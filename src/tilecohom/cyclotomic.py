@@ -4,8 +4,8 @@ Powers of x close over Q(sqrt 3) because x^2 = sqrt(3)*x - 1; the whole
 module works with that reduction.  Two translation lattices matter: the
 rank-2-over-G module DELTA0 = (1/sqrt 3)Z[x] that governs line orbits, and
 the ring Z[x] (rank 4 over Z, basis 1, x, x^2, x^3) that governs point
-orbits.  The helpers at the bottom expose the bookkeeping that couples a
-DELTA0 translation with the plane shift its lattice lifts induce.
+orbits.  The helpers at the bottom give the DELTA0 coordinates of a point
+and the plane shift that the lattice lifts of a DELTA0 translation induce.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ def pt_mul(a: PlanePoint, b: PlanePoint) -> PlanePoint:
     return PlanePoint(a.u * b.u - cross, a.u * b.v + a.v * b.u + SQRT3 * cross)
 
 
-def pt_mul_xpow(p: PlanePoint, k: int) -> PlanePoint:
-    """Multiply by x^k."""
-    return pt_mul(p, xpow(k))
-
-
 def f_vector(i: int) -> PlanePoint:
     """The i-th window edge vector f_i = (1/sqrt 3) x^(5(i-1)), i in 1..6."""
     if not 1 <= i <= 6:
@@ -138,10 +133,9 @@ def format_point(p: PlanePoint) -> str:
 #
 # DELTA0 is free over Z with basis (f_1, f_2, f_3, f_4).  A translation by
 # t in DELTA0 lifts to hypercube-lattice elements whose plane shift is only
-# determined modulo 3; congruence_class(t) is that mod-3 shift, and
-# plane_shift(c) realizes a prescribed class.  Z[x] is exactly the kernel,
-# which is why point orbits reduce modulo Z[x] while staying inside one
-# slicing plane class.
+# determined modulo 3; congruence_class(t) is that mod-3 shift.  Z[x] is
+# exactly the kernel, which is why point orbits reduce modulo Z[x] while
+# staying inside one slicing plane class.
 
 
 def delta0_coords(p: PlanePoint) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -162,21 +156,3 @@ def congruence_class(t: PlanePoint) -> tuple[int, int]:
     if any(c.denominator != 1 for c in coords):
         raise ValueError("point is not in the translation lattice")
     return (int(t1 - t3) % 3, int(t2 - t4) % 3)
-
-
-def plane_shift(c1: int, c2: int) -> PlanePoint:
-    """A DELTA0 element whose lifts shift the slicing plane by (c1, c2) mod 3."""
-    return pt_scale_mul(f_vector(1), QuadRat(c1)) + pt_scale_mul(
-        f_vector(2), QuadRat(c2)
-    )
-
-
-def direction_class_span(i: int) -> frozenset[tuple[int, int]]:
-    """Plane-shift classes attainable by DELTA0 translations parallel to x^i."""
-    gen = congruence_class(pt_scale_mul(xpow(i), INV_SQRT3))
-    span = {(0, 0)}
-    current = gen
-    while current not in span:
-        span.add(current)
-        current = ((current[0] + gen[0]) % 3, (current[1] + gen[1]) % 3)
-    return frozenset(span)

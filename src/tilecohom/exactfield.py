@@ -8,6 +8,7 @@ lattice membership are decided by integer comparisons only.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -162,9 +163,6 @@ class QuadRat:
     def __floor__(self) -> int:
         return self.floor()
 
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * (3.0 ** 0.5)
-
 
 def _coerce(value: object) -> "QuadRat | None":
     if isinstance(value, QuadRat):
@@ -179,32 +177,6 @@ ONE = QuadRat(1)
 SQRT3 = QuadRat(0, 1)
 HALF = QuadRat(Fraction(1, 2))
 INV_SQRT3 = QuadRat(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
-
-
-# -- named operation dispatch ----------------------------------------------------
-
-def qr_arith(a: QuadRat, b: QuadRat, op: str) -> QuadRat:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def qr_conj(a: QuadRat) -> QuadRat:
-    return a.conj()
-
-
-def qr_sign(a: QuadRat) -> int:
-    return a.sign()
-
-
-def qr_floor(a: QuadRat) -> int:
-    return a.floor()
 
 
 # -- the four lattices ----------------------------------------------------------
@@ -227,30 +199,11 @@ LATTICE_SCALE = {
     LatticeId.INV_2SQRT3_G: QuadRat(0, 2),
 }
 
-#: For each lattice, every lattice containing it.
-CONTAINMENTS = {
-    LatticeId.G: (
-        LatticeId.G,
-        LatticeId.HALF_G,
-        LatticeId.INV_SQRT3_G,
-        LatticeId.INV_2SQRT3_G,
-    ),
-    LatticeId.HALF_G: (LatticeId.HALF_G, LatticeId.INV_2SQRT3_G),
-    LatticeId.INV_SQRT3_G: (LatticeId.INV_SQRT3_G, LatticeId.INV_2SQRT3_G),
-    LatticeId.INV_2SQRT3_G: (LatticeId.INV_2SQRT3_G,),
-}
-
 
 def lattice_member(a: QuadRat, lattice: LatticeId) -> bool:
     """True iff a belongs to the lattice (scale by the defining scalar, test in G)."""
     scaled = a * LATTICE_SCALE[lattice]
     return scaled.p.denominator == 1 and scaled.q.denominator == 1
-
-
-def lattice_gens(lattice: LatticeId) -> tuple[QuadRat, QuadRat]:
-    """A Z-basis of the lattice."""
-    scale = LATTICE_SCALE[lattice]
-    return ONE / scale, SQRT3 / scale
 
 
 @dataclass(frozen=True)
@@ -279,26 +232,32 @@ def mod_canon(a: QuadRat, lattice: LatticeId = LatticeId.G) -> CosetRep:
 
 # -- text form -------------------------------------------------------------------
 
-_ROOT_TERM = re.compile(r"(?:(\d+(?:/\d+)?)\*?)?s(?:/(\d+))?")
-_RAT_TERM = re.compile(r"\d+(?:/\d+)?")
+_ROOT_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\*?)?s(?:/([0-9]+))?")
+_RAT_TERM = re.compile(r"[0-9]+(?:/[0-9]+)?")
+# Whitespace with a character other than a sign on both sides.
+_INNER_SPACE = re.compile(r"[^\s+-]\s+[^\s+-]")
 
 
 def _parse_term(body: str, sign: int, original: str) -> QuadRat:
-    match = _ROOT_TERM.fullmatch(body)
-    if match:
-        try:
-            coef = Fraction(match.group(1)) if match.group(1) else Fraction(1)
-            if match.group(2):
-                coef /= Fraction(int(match.group(2)))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {original!r}") from None
-        return QuadRat(0, sign * coef)
-    if _RAT_TERM.fullmatch(body):
-        try:
+    root = _ROOT_TERM.fullmatch(body)
+    if not root and not _RAT_TERM.fullmatch(body):
+        raise ParseError(f"cannot read {body!r} in {original!r} as an exact value")
+    try:
+        if not root:
             return QuadRat(sign * Fraction(body))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {original!r}") from None
-    raise ParseError(f"cannot read {body!r} in {original!r} as an exact value")
+        coef = Fraction(root.group(1)) if root.group(1) else Fraction(1)
+        if root.group(2):
+            coef /= Fraction(int(root.group(2)))
+        return QuadRat(0, sign * coef)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {original!r}") from None
+    except ValueError:
+        # The patterns admit ASCII digits only, so this is the interpreter's
+        # cap on the length of an integer read from text.
+        raise ParseError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits,"
+            " the most that Python reads as an integer"
+        ) from None
 
 
 def parse_quadrat(text: str) -> QuadRat:
@@ -314,7 +273,9 @@ def parse_quadrat(text: str) -> QuadRat:
         raise ParseError("empty value")
     if "." in raw:
         raise ParseError(f"expected an exact rational, got a decimal in {text!r}")
-    norm = raw.replace("√3", "s").replace("sqrt3", "s").replace(" ", "")
+    if _INNER_SPACE.search(raw):
+        raise ParseError(f"space inside a term of {text!r}; spaces may stand only next to a sign")
+    norm = re.sub(r"\s+", "", raw).replace("√3", "s").replace("sqrt3", "s")
     total = QuadRat(0)
     i, n = 0, len(norm)
     while i < n:

@@ -2,10 +2,8 @@
 
 Lines are compared within a fixed direction x^i by decomposing anchor
 differences in the basis (x^i, x^{i+3}); only the perpendicular component
-matters.  Two equivalence tests are provided: same_orbit quotients by the
-projected total lattice (1/sqrt 3)Z[x], which is what the orbit counts L1
-refer to, while same_orbit_zx quotients by the strictly smaller ring Z[x],
-the translations actually available inside a single plane of the family.
+matters.  same_orbit quotients by the projected total lattice
+(1/sqrt 3)Z[x], the translation group that the orbit counts L1 refer to.
 """
 
 from __future__ import annotations
@@ -85,11 +83,6 @@ def same_orbit(l1, l2) -> bool:
     return lattice_member(SQRT3 * perp_component(l1, l2), LatticeId.HALF_G)
 
 
-def same_orbit_zx(l1, l2) -> bool:
-    """Equivalence modulo Z[x] only (single-plane translations)."""
-    return lattice_member(perp_component(l1, l2), LatticeId.HALF_G)
-
-
 def orbit_witness(l1, l2) -> PlanePoint:
     """A translation t in (1/sqrt 3)Z[x] with l2.anchor - l1.anchor - t
     parallel to the common direction.  Only exists when same_orbit holds."""
@@ -102,23 +95,6 @@ def orbit_witness(l1, l2) -> PlanePoint:
     t = pt_scale_mul(xpow(i), mu) + pt_scale_mul(xpow((i + 3) % 6), c_p)
     if not lattice_contains(t, TransLattice.DELTA0):
         raise AssertionError("witness fell outside the lattice")
-    return t
-
-
-def orbit_witness_zx(l1, l2) -> PlanePoint:
-    """A translation t in Z[x] with l2.anchor - l1.anchor - t parallel to the
-    common direction.  Only exists when same_orbit_zx holds."""
-    if not same_orbit_zx(l1, l2):
-        raise ValueError("lines are in different orbits")
-    i = l1.direction % 6
-    c_p = perp_component(l1, l2)
-    # x^(i+1) = (sqrt3/2) x^i + (1/2) x^(i+3); the perpendicular component is
-    # measured along x^((i+3) mod 6), which is -x^(i+3) once i+3 wraps, so
-    # flip the multiplier there to keep the x^i-parallel residue.
-    sign = QuadRat(1) if i + 3 < 6 else QuadRat(-1)
-    t = pt_scale_mul(xpow(i + 1), sign * c_p * 2)
-    if not lattice_contains(t, TransLattice.ZX):
-        raise AssertionError("witness fell outside the ring")
     return t
 
 
@@ -154,7 +130,7 @@ def orbit_partition(lines, test=same_orbit) -> LineOrbitSet:
     """Group parallel lines into equivalence classes under the given test.
 
     Membership is decided against class representatives, which is sound
-    because both tests are transitive (the test suite audits this)."""
+    because same_orbit is transitive (the test suite audits this)."""
     classes = []
     for line in lines:
         for cls in classes:

@@ -255,8 +255,3 @@ def _group_types(per_orbit) -> tuple[LineType, ...]:
         rows.append(LineType(by_p, group["n"], parity))
     rows.sort(key=lambda row: (-row.total, row.parity, row.by_p))
     return tuple(rows)
-
-
-def euler(tables: IntersectionTables) -> int:
-    """The combinatorial Euler number e = -L0 + sum over orbits of L0^alpha."""
-    return -tables.L0 + tables.sum_L0alpha

@@ -11,8 +11,6 @@ from .homalg import rank_and_cokernel
 from .lineorbits import GammaParam, candidate_lines, orbit_partition, reduce_gamma
 from .pointorbits import LineType, build_tables
 
-DENOMINATOR_WARN_LIMIT = 10**6
-
 
 @dataclass(frozen=True)
 class CohomologyReport:
@@ -86,20 +84,30 @@ def parse_gamma(text: str):
         ) from exc
 
 
-def large_denominator(gamma: GammaParam) -> bool:
-    parts = (gamma.g1.p, gamma.g1.q, gamma.g2.p, gamma.g2.q)
-    return any(part.denominator > DENOMINATOR_WARN_LIMIT for part in parts)
-
-
 # -- rendering -----------------------------------------------------------------
 
 
-def _type_table_lines(rows) -> list[str]:
+def dump_json(payload) -> bytes:
+    """The one JSON encoding of every output: sorted keys, compact, UTF-8."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
+def dump_text(lines) -> bytes:
+    """The one text encoding of every output: newline-terminated lines, UTF-8."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def table_lines(rows, footer=None) -> list[str]:
+    """The line-type table, right-aligned, with an optional last row of cells."""
     header = ["n", "dir", "p=2", "p=3", "p=4", "p=5", "p=6", "total"]
     body = [
         [str(row.n), row.parity, *[str(c) for c in row.by_p], str(row.total)]
         for row in rows
     ]
+    if footer is not None:
+        body.append([str(c) for c in footer])
     widths = [max(len(h), *(len(r[k]) for r in body)) for k, h in enumerate(header)]
     out = [" | ".join(h.rjust(w) for h, w in zip(header, widths))]
     for r in body:
@@ -107,55 +115,55 @@ def _type_table_lines(rows) -> list[str]:
     return out
 
 
+def payload(report: CohomologyReport) -> dict:
+    """The JSON payload (schema 1); rationals as p/q+r/s√3 strings, no timing."""
+    return {
+        "schema": 1,
+        "gamma": [format_quadrat(report.gamma.g1),
+                  format_quadrat(report.gamma.g2)],
+        "L1": report.L1,
+        "per_direction": list(report.per_direction),
+        "R": report.R,
+        "sum_L0alpha": report.sum_L0alpha,
+        "L0": report.L0,
+        "L0_by_p": list(report.L0_by_p),
+        "e": report.e,
+        "h0": report.h0,
+        "h1": report.h1,
+        "h2": report.h2,
+        "torsion_free": report.torsion_free,
+        "line_types": [
+            {
+                "n": row.n,
+                "dir": row.parity,
+                "by_p": list(row.by_p),
+                "total": row.total,
+            }
+            for row in report.line_type_table
+        ],
+    }
+
+
 def render(report: CohomologyReport, format: str = "text") -> bytes:
     """Render as aligned text tables or versioned JSON (schema 1).
 
     The text layout is the line-type table followed by the summary row
     `sum L0^a | L0 | L1 | e | rk H2 | rk H1 | rk H0`; the summary row
-    itself is unpadded.  JSON output is byte-deterministic: sorted keys,
-    no timing field, rationals as p/q+r/s√3 strings.
+    itself is unpadded.  JSON output is byte-deterministic.
     """
     if format == "json":
-        payload = {
-            "schema": 1,
-            "gamma": [format_quadrat(report.gamma.g1),
-                      format_quadrat(report.gamma.g2)],
-            "L1": report.L1,
-            "per_direction": list(report.per_direction),
-            "R": report.R,
-            "sum_L0alpha": report.sum_L0alpha,
-            "L0": report.L0,
-            "L0_by_p": list(report.L0_by_p),
-            "e": report.e,
-            "h0": report.h0,
-            "h1": report.h1,
-            "h2": report.h2,
-            "torsion_free": report.torsion_free,
-            "line_types": [
-                {
-                    "n": row.n,
-                    "dir": row.parity,
-                    "by_p": list(row.by_p),
-                    "total": row.total,
-                }
-                for row in report.line_type_table
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False)
-        return (text + "\n").encode("utf-8")
+        return dump_json(payload(report))
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
-    lines = [
+    return dump_text([
         f"gamma = ({report.gamma.g1}, {report.gamma.g2})",
         f"L1 = {report.L1}   per direction: "
         + " ".join(str(c) for c in report.per_direction),
         f"R = {report.R}   torsion-free: {'yes' if report.torsion_free else 'NO'}",
         "",
-        *_type_table_lines(report.line_type_table),
+        *table_lines(report.line_type_table),
         "",
         "sum L0^a | L0 | L1 | e | rk H2 | rk H1 | rk H0",
         f"{report.sum_L0alpha} | {report.L0} | {report.L1} | {report.e}"
         f" | {report.h2} | {report.h1} | {report.h0}",
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    ])

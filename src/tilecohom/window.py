@@ -579,10 +579,6 @@ def slice_detailed(gamma):
     return lines, incidences
 
 
-def slice(gamma):  # noqa: A001 - contract name
-    return slice_detailed(gamma)[0]
-
-
 def cut_line_forms(gamma):
     """Closed form of the line each cut cube produces, one (direction, anchor)
     pair per cut family.
@@ -595,7 +591,7 @@ def cut_line_forms(gamma):
     mixed-sign forms that a uniform-sign compilation would miss.  Long cubes
     only meet the planes when the transverse gamma component vanishes; their
     polygon sides then follow the paired edge vector of each facet.  Every
-    line from slice() is base-lattice-equivalent to one of these forms and
+    line from slice_detailed() is base-lattice-equivalent to one of these forms and
     conversely, which is what the cross-check tests assert.
     """
     out = []

@@ -2,9 +2,15 @@
 
 import io
 import json
+import sys
+
+import pytest
 
 import tilecohom.accept
+import tilecohom.report
 from tilecohom.cli import main
+from tilecohom.exactfield import ParseError
+from tilecohom.pointorbits import ConsistencyError
 
 
 def run_cli(argv):
@@ -108,13 +114,54 @@ def test_verify_window_json_dumps_geometry():
     assert sum(1 for cube in payload["cubes"] if cube["kind"] == "long") == 4
 
 
-def test_denominator_warning_and_quiet():
-    code, _, err = run_cli(["l1", "--gamma", "1/1000001,0"])
+def test_large_denominator_runs_without_a_warning():
+    code, out, err = run_cli(["l1", "--gamma", "1/1000001,0"])
     assert code == 0
-    assert "denominator exceeds" in err
-    code, _, err = run_cli(["l1", "--gamma", "1/1000001,0", "--quiet"])
-    assert code == 0
+    assert "L1 = 15" in out
     assert err == ""
+
+
+def test_gamma_value_may_start_with_a_minus_sign():
+    joined = run_cli(["report", "--gamma=-27/2,0"])
+    assert joined[0] == 0
+    assert run_cli(["report", "--gamma", "-27/2,0"]) == joined
+    assert run_cli(["tables", "--gamma", "-1/3√3,-1/2", "--json"]) == run_cli(
+        ["tables", "--json", "--gamma=-1/3√3,-1/2"])
+
+
+def test_input_faults_exit_2_with_a_clear_message():
+    for gamma, message in (("1/2 3,0", "space"), ("٣/7,0", "cannot read"),
+                           ("1" * 5000 + ",0", f"{sys.get_int_max_str_digits()} digits")):
+        code, out, err = run_cli(["report", "--gamma", gamma])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("error", [
+    ConsistencyError("double counting broken"),
+    AssertionError("witness fell outside the lattice"),
+    ValueError("point is not in the translation lattice"),
+])
+def test_engine_faults_exit_3_with_the_gamma(monkeypatch, error):
+    def broken(orbits):
+        raise error
+
+    monkeypatch.setattr(tilecohom.report, "build_tables", broken)
+    code, out, err = run_cli(["report", "--gamma", "1/5,1/7"])
+    assert (code, out) == (3, "")
+    assert "--gamma=1/5,1/7" in err
+    assert type(error).__name__ in err and str(error) in err
+
+
+def test_only_parse_errors_exit_2(monkeypatch):
+    def broken(orbits):
+        raise ParseError("unreadable")
+
+    monkeypatch.setattr(tilecohom.report, "build_tables", broken)
+    code, _, err = run_cli(["tables", "--gamma", "1/5,1/7"])
+    assert code == 2
+    assert err == "error: unreadable\n"
 
 
 def test_no_command_exits_2():

@@ -11,13 +11,10 @@ from tilecohom.cyclotomic import (
     congruence_class,
     decompose,
     delta0_coords,
-    direction_class_span,
     f_vector,
     format_point,
     lattice_contains,
-    plane_shift,
     pt_mul,
-    pt_mul_xpow,
     pt_scale_mul,
     xpow,
 )
@@ -69,12 +66,12 @@ def test_edge_vector_identities():
 
 
 def test_basis_action():
-    assert pt_mul_xpow(PlanePoint(QuadRat(1), QuadRat(0)), 1) == xpow(1)
-    assert pt_mul_xpow(PlanePoint(QuadRat(0), QuadRat(1)), 1) == xpow(2)
+    assert pt_mul(PlanePoint(QuadRat(1), QuadRat(0)), xpow(1)) == xpow(1)
+    assert pt_mul(PlanePoint(QuadRat(0), QuadRat(1)), xpow(1)) == xpow(2)
     rng = random.Random(11)
     for _ in range(50):
         p = rnd_point(rng)
-        assert pt_mul_xpow(p, 12) == p
+        assert pt_mul(p, xpow(12)) == p
 
 
 def test_xpow_multiplicative():
@@ -145,7 +142,8 @@ def test_delta0_coords_are_f_basis_coords():
 def test_congruence_class_generators():
     assert congruence_class(f_vector(1)) == (1, 0)
     assert congruence_class(f_vector(2)) == (0, 1)
-    assert congruence_class(plane_shift(2, 1)) == (2, 1)
+    shift = pt_scale_mul(f_vector(1), QuadRat(2)) + f_vector(2)
+    assert congruence_class(shift) == (2, 1)
     with pytest.raises(ValueError):
         congruence_class(PlanePoint(QuadRat(Fraction(1, 5)), QuadRat(0)))
 
@@ -180,8 +178,11 @@ def test_congruence_additive():
 
 
 def test_direction_class_span():
+    # plane-shift classes of the DELTA0 translations parallel to x^i
     for i in range(6):
-        span = direction_class_span(i)
+        step = pt_scale_mul(xpow(i), INV_SQRT3)
+        span = frozenset(congruence_class(pt_scale_mul(step, QuadRat(k)))
+                         for k in range(3))
         assert len(span) == 3
         if i % 2 == 0:
             assert span == frozenset({(0, 0), (1, 0), (2, 0)})

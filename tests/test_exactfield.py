@@ -4,26 +4,36 @@ from fractions import Fraction
 import pytest
 
 from tilecohom.exactfield import (
-    CONTAINMENTS,
     CosetRep,
     LatticeId,
     ParseError,
     QuadRat,
     format_quadrat,
-    lattice_gens,
     lattice_member,
     mod_canon,
     parse_quadrat,
-    qr_arith,
-    qr_conj,
-    qr_floor,
-    qr_sign,
 )
 
 G = LatticeId.G
 HALF_G = LatticeId.HALF_G
 INV_SQRT3_G = LatticeId.INV_SQRT3_G
 INV_2SQRT3_G = LatticeId.INV_2SQRT3_G
+
+#: A Z-basis of each lattice: 1/s and sqrt(3)/s for its defining scalar s.
+LATTICE_BASES = {
+    G: (QuadRat(1), QuadRat(0, 1)),
+    HALF_G: (QuadRat(Fraction(1, 2)), QuadRat(0, Fraction(1, 2))),
+    INV_SQRT3_G: (QuadRat(0, Fraction(1, 3)), QuadRat(1)),
+    INV_2SQRT3_G: (QuadRat(0, Fraction(1, 6)), QuadRat(Fraction(1, 2))),
+}
+
+#: For each lattice, every lattice containing it.
+CONTAINMENTS = {
+    G: (G, HALF_G, INV_SQRT3_G, INV_2SQRT3_G),
+    HALF_G: (HALF_G, INV_2SQRT3_G),
+    INV_SQRT3_G: (INV_SQRT3_G, INV_2SQRT3_G),
+    INV_2SQRT3_G: (INV_2SQRT3_G,),
+}
 
 
 def rnd_quadrat(rng, span=20, den=12):
@@ -34,45 +44,45 @@ def rnd_quadrat(rng, span=20, den=12):
 
 
 def test_norm_identity():
-    assert qr_arith(QuadRat(1, 1), QuadRat(1, -1), "mul") == QuadRat(-2)
+    assert QuadRat(1, 1) * QuadRat(1, -1) == QuadRat(-2)
 
 
 def test_root_squares_to_three():
-    assert qr_arith(QuadRat(0, 1), QuadRat(0, 1), "mul") == QuadRat(3)
+    assert QuadRat(0, 1) * QuadRat(0, 1) == QuadRat(3)
 
 
 def test_inverse_of_two_plus_root():
-    inv = qr_arith(QuadRat(1), QuadRat(2, 1), "div")
+    inv = QuadRat(1) / QuadRat(2, 1)
     assert inv == QuadRat(2, -1)
     assert inv * QuadRat(2, 1) == QuadRat(1)
 
 
 def test_division_by_zero_reports_zero_divisor():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        qr_arith(QuadRat(1), QuadRat(0), "div")
+        QuadRat(1) / QuadRat(0)
 
 
 def test_conjugation():
-    assert qr_conj(QuadRat(1, 2)) == QuadRat(1, -2)
-    assert qr_conj(QuadRat(5)) == QuadRat(5)
+    assert QuadRat(1, 2).conj() == QuadRat(1, -2)
+    assert QuadRat(5).conj() == QuadRat(5)
     a = QuadRat(Fraction(1, 7), Fraction(1, 11))
-    assert qr_conj(qr_conj(a)) == a
+    assert a.conj().conj() == a
 
 
 def test_signs():
-    assert qr_sign(QuadRat(2, -1)) == 1
-    assert qr_sign(QuadRat(-5, 3)) == 1
-    assert qr_sign(QuadRat(0, 0)) == 0
-    assert qr_sign(QuadRat(-2, 1)) == -1
-    assert qr_sign(QuadRat(5, -3)) == -1
+    assert QuadRat(2, -1).sign() == 1
+    assert QuadRat(-5, 3).sign() == 1
+    assert QuadRat(0, 0).sign() == 0
+    assert QuadRat(-2, 1).sign() == -1
+    assert QuadRat(5, -3).sign() == -1
 
 
 def test_floors():
-    assert qr_floor(QuadRat(0, 1)) == 1
-    assert qr_floor(QuadRat(0, -1)) == -2
-    assert qr_floor(QuadRat(Fraction(7, 2))) == 3
-    assert qr_floor(QuadRat(-3)) == -3
-    assert qr_floor(QuadRat(Fraction(5, 2), 1)) == 4
+    assert QuadRat(0, 1).floor() == 1
+    assert QuadRat(0, -1).floor() == -2
+    assert QuadRat(Fraction(7, 2)).floor() == 3
+    assert QuadRat(-3).floor() == -3
+    assert QuadRat(Fraction(5, 2), 1).floor() == 4
 
 
 def test_lattice_membership_examples():
@@ -141,7 +151,8 @@ def test_floor_definition_on_random_values():
 def test_mod_canon_idempotent_and_coset_correct():
     rng = random.Random(404)
     for lattice in LatticeId:
-        g1, g2 = lattice_gens(lattice)
+        g1, g2 = LATTICE_BASES[lattice]
+        assert lattice_member(g1, lattice) and lattice_member(g2, lattice)
         for _ in range(100):
             a = rnd_quadrat(rng)
             rep = mod_canon(a, lattice)
@@ -158,6 +169,10 @@ def test_containment_table():
         assert lattice_member(a, G)
         for lattice in CONTAINMENTS[G]:
             assert lattice_member(a, lattice)
+    for inner, outers in CONTAINMENTS.items():
+        for outer in LatticeId:
+            contained = all(lattice_member(g, outer) for g in LATTICE_BASES[inner])
+            assert contained == (outer in outers), (inner, outer)
     # strictness spot checks
     assert lattice_member(QuadRat(Fraction(1, 2)), HALF_G)
     assert not lattice_member(QuadRat(Fraction(1, 2)), INV_SQRT3_G)

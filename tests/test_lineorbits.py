@@ -14,11 +14,9 @@ from tilecohom.lineorbits import (
     candidate_lines,
     orbit_partition,
     orbit_witness,
-    orbit_witness_zx,
     perp_component,
     reduce_gamma,
     same_orbit,
-    same_orbit_zx,
 )
 
 
@@ -241,21 +239,6 @@ def test_lattice_translate_invariance():
         assert same_orbit(a, b) == same_orbit(a, shifted)
 
 
-def test_plane_equivalence_is_finer():
-    l0 = SingularLine(0, ORIGIN)
-    l1 = SingularLine(0, pt_scale_mul(xpow(3), INV_SQRT3))
-    assert same_orbit(l0, l1)
-    assert not same_orbit_zx(l0, l1)
-    rnd = random.Random(15)
-    for _ in range(25):
-        gamma = rnd_gamma(rnd)
-        d = rnd.randrange(6)
-        group = [c for c in candidate_lines(gamma) if c.direction == d]
-        a, b = rnd.sample(group, 2)
-        if same_orbit_zx(a, b):
-            assert same_orbit(a, b)
-
-
 def test_orbit_witnesses():
     rnd = random.Random(16)
     gammas = [GammaParam(qr(0), qr(Fraction(1, 2))),
@@ -283,14 +266,6 @@ def _check_witness_pair(a, b, d):
     else:
         with pytest.raises(ValueError, match="different orbits"):
             orbit_witness(a, b)
-    if same_orbit_zx(a, b):
-        w = orbit_witness_zx(a, b)
-        assert lattice_contains(w, TransLattice.ZX)
-        residue = SingularLine(d, a.anchor + w)
-        assert perp_component(residue, b) == QuadRat(0)
-    else:
-        with pytest.raises(ValueError, match="different orbits"):
-            orbit_witness_zx(a, b)
     return found
 
 

@@ -17,7 +17,6 @@ from tilecohom.lineorbits import (
 from tilecohom.pointorbits import (
     build_tables,
     coset_set,
-    euler,
     global_key,
     lambda_classes,
 )
@@ -173,7 +172,7 @@ def test_worked_case_tables():
         assert tables.sum_L0alpha == sum_a
         assert tables.L0 == l0
         assert tables.e == e
-        assert euler(tables) == e
+        assert -tables.L0 + tables.sum_L0alpha == e
         assert tables.L0_by_p == l0_by_p
         got = [(t.n, t.parity, t.by_p) for t in tables.types]
         assert sorted((n, bp) for n, _, bp in got) == sorted(

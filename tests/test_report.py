@@ -2,19 +2,13 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tilecohom.exactfield import ParseError, QuadRat
-from tilecohom.lineorbits import reduce_gamma
-from tilecohom.report import (
-    DENOMINATOR_WARN_LIMIT,
-    compute,
-    large_denominator,
-    parse_gamma,
-    render,
-)
+from tilecohom.report import compute, parse_gamma, render
 
 
 def rnd_fraction(rnd):
@@ -160,8 +154,24 @@ def test_parse_gamma_random_round_trip():
         assert f"{g2.p}+{g2.q}√3" == b
 
 
-def test_large_denominator_flag():
-    assert not large_denominator(reduce_gamma(parse_gamma("1/2,1/3+1/7√3")))
-    big = DENOMINATOR_WARN_LIMIT + 1
-    assert large_denominator(reduce_gamma(parse_gamma(f"1/{big},0")))
-    assert large_denominator(reduce_gamma(parse_gamma(f"0,1/{big}√3")))
+def test_parse_gamma_spaces_only_next_to_a_sign():
+    with pytest.raises(ParseError, match="space"):
+        parse_gamma("1/2 3,0")
+    with pytest.raises(ParseError, match="space"):
+        parse_gamma("0,√ 3")
+    g1, g2 = parse_gamma(" 1/7 + √3/11 , - 1/2 ")
+    assert g1 == QuadRat(Fraction(1, 7), Fraction(1, 11))
+    assert g2 == QuadRat(Fraction(-1, 2))
+
+
+def test_parse_gamma_rejects_non_ascii_digits():
+    for text in ("٣/7,0", "0,1/٧", "0,２√3"):
+        with pytest.raises(ParseError):
+            parse_gamma(text)
+
+
+def test_parse_gamma_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1" * (limit + 1) + ",0", f"0,1/{'7' * (limit + 1)}√3"):
+        with pytest.raises(ParseError, match=f"more than {limit} digits"):
+            parse_gamma(text)

@@ -31,7 +31,6 @@ from tilecohom.window import (
     edge_vector,
     enumerate_cubes,
     norm_sq,
-    slice,
     slice_detailed,
     verify_counts,
 )
@@ -332,7 +331,7 @@ def test_slice_matches_per_cube_closed_forms():
         samples.append((g.g1, g.g2))
     for raw in samples:
         gamma = reduce_gamma(raw).pair()
-        sliced = [SingularLine(l.direction, l.anchor) for l in slice(gamma)]
+        sliced = [SingularLine(l.direction, l.anchor) for l in slice_detailed(gamma)[0]]
         forms = [SingularLine(d, a) for d, a in cut_line_forms(gamma)]
         assert _orbit_equivalent_linesets(sliced, forms), gamma
 
@@ -379,5 +378,5 @@ def test_slice_runtime_budget():
     gamma = gamma_pair(Fraction(1, 5), Fraction(1, 7))
     start = time.monotonic()
     verify_counts()
-    slice(gamma)
+    slice_detailed(gamma)
     assert time.monotonic() - start < 5.0
