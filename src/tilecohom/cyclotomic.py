@@ -4,15 +4,21 @@ Powers of x close over Q(sqrt 3) because x^2 = sqrt(3)*x - 1; the whole
 module works with that reduction.  Two translation lattices matter: the
 rank-2-over-G module DELTA0 = (1/sqrt 3)Z[x] that governs line orbits, and
 the ring Z[x] (rank 4 over Z, basis 1, x, x^2, x^3) that governs point
-orbits.  The helpers at the bottom give the DELTA0 coordinates of a point
-and the plane shift that the lattice lifts of a DELTA0 translation induce.
+orbits.
+
+PlanePoint, with QuadRat coordinates, is the form that results are handed
+out in.  The stages compute on the integer coordinates below instead: a
+point is an int 4-tuple over one modulus per op, every chart (x^i, x^j) is a
+fixed int matrix, and reduction mod Z[x] is `% n`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from enum import Enum
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 from .exactfield import INV_SQRT3, QuadRat, SQRT3, format_quadrat
 
@@ -40,8 +46,6 @@ class PlanePoint:
         return format_point(self)
 
 
-ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
-
 # (u, v) rows for x^0 .. x^5; the second half of the twelve powers is the
 # negative of the first half.
 _XPOW_HALF = (
@@ -66,12 +70,6 @@ def pt_scale_mul(p: PlanePoint, s: QuadRat) -> PlanePoint:
     return PlanePoint(p.u * s, p.v * s)
 
 
-def pt_mul(a: PlanePoint, b: PlanePoint) -> PlanePoint:
-    """Full complex product, reducing x^2 = sqrt(3)*x - 1."""
-    cross = a.v * b.v
-    return PlanePoint(a.u * b.u - cross, a.u * b.v + a.v * b.u + SQRT3 * cross)
-
-
 def f_vector(i: int) -> PlanePoint:
     """The i-th window edge vector f_i = (1/sqrt 3) x^(5(i-1)), i in 1..6."""
     if not 1 <= i <= 6:
@@ -79,36 +77,6 @@ def f_vector(i: int) -> PlanePoint:
     return pt_scale_mul(xpow(5 * (i - 1)), INV_SQRT3)
 
 
-class TransLattice(Enum):
-    DELTA0 = "delta0"
-    ZX = "zx"
-
-
-def lattice_contains(p: PlanePoint, lattice: TransLattice) -> bool:
-    """Membership in Z[x] (both coordinates in G) or DELTA0 = (1/sqrt 3)Z[x]."""
-    if lattice is TransLattice.DELTA0:
-        p = pt_scale_mul(p, SQRT3)
-    return (
-        p.u.p.denominator == 1
-        and p.u.q.denominator == 1
-        and p.v.p.denominator == 1
-        and p.v.q.denominator == 1
-    )
-
-
-def decompose(p: PlanePoint, i: int, j: int) -> tuple[QuadRat, QuadRat]:
-    """Unique reals (c_i, c_j) with p = c_i*x^i + c_j*x^j, exact.
-
-    Any two powers with i != j mod 6 form an R-basis of the plane; the
-    2x2 system is solved by Cramer's rule over Q(sqrt 3).
-    """
-    if (i - j) % 6 == 0:
-        raise ValueError("degenerate basis")
-    bi, bj = xpow(i), xpow(j)
-    det = bi.u * bj.v - bi.v * bj.u
-    c_i = (p.u * bj.v - p.v * bj.u) / det
-    c_j = (bi.u * p.v - bi.v * p.u) / det
-    return c_i, c_j
 
 
 def format_point(p: PlanePoint) -> str:
@@ -129,30 +97,147 @@ def format_point(p: PlanePoint) -> str:
     return f"{format_quadrat(p.u)}{joiner}{tail}"
 
 
-# -- coordinates and plane-shift classes over DELTA0 -------------------------------
+# -- integer coordinates -----------------------------------------------------------
 #
-# DELTA0 is free over Z with basis (f_1, f_2, f_3, f_4).  A translation by
-# t in DELTA0 lifts to hypercube-lattice elements whose plane shift is only
-# determined modulo 3; congruence_class(t) is that mod-3 shift.  Z[x] is
-# exactly the kernel, which is why point orbits reduce modulo Z[x] while
-# staying inside one slicing plane class.
+# The stages compute on ints.  Over a modulus n > 0 the scalar (p, q) stands
+# for (p + q*sqrt 3)/n, and the point (a, b, c, d) for u + v*x with
+# u = (a + b*sqrt 3)/n and v = (c + d*sqrt 3)/n.  Because Z[x] = G + G*x,
+# reducing a scalar mod G and a point mod Z[x] are both `% n` on every entry.
+#
+# One op fixes n = modulus(gamma_1, gamma_2) = 6*D, D the lcm of the four
+# denominators of gamma.  A point built from gamma and the powers x^k then
+# has every entry divisible by 6, so the chart of a basis (x^i, x^j), whose
+# (1, x)-determinant is 1, sqrt 3 or 2 up to sign, divides it exactly.  The
+# stages are affine in gamma: their ints are multiplied only by the small
+# constants of the x^k, never by each other, and stay a few times n.
 
 
-def delta0_coords(p: PlanePoint) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Coordinates of p in the basis (f_1, f_2, f_3, f_4); integral iff p in DELTA0."""
-    u_p, u_q = p.u.p, p.u.q
-    v_p, v_q = p.v.p, p.v.q
-    t1 = 3 * u_q + 2 * v_p
-    t2 = -2 * u_p - 3 * v_q
-    t3 = -v_p
-    t4 = u_p + 3 * v_q
-    return t1, t2, t3, t4
+def modulus(*values: QuadRat) -> int:
+    """6 times the lcm of the denominators of the values."""
+    return 6 * lcm(*(d for v in values for d in (v.p.denominator, v.q.denominator)))
 
 
-def congruence_class(t: PlanePoint) -> tuple[int, int]:
-    """Mod-3 plane shift induced by any hypercube-lattice lift of t in DELTA0."""
-    t1, t2, t3, t4 = delta0_coords(t)
-    coords = (t1, t2, t3, t4)
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("point is not in the translation lattice")
-    return (int(t1 - t3) % 3, int(t2 - t4) % 3)
+def _numerator(x: Fraction, n: int) -> int:
+    if n % x.denominator:
+        raise ValueError(f"{x} is not a multiple of 1/{n}")
+    return x.numerator * (n // x.denominator)
+
+
+def scalar(a: QuadRat, n: int) -> tuple[int, int]:
+    """The scalar a as an int pair over n."""
+    return _numerator(a.p, n), _numerator(a.q, n)
+
+
+def encode(p: PlanePoint, n: int) -> tuple[int, int, int, int]:
+    """The point p as an int 4-tuple over n."""
+    return (*scalar(p.u, n), *scalar(p.v, n))
+
+
+def decode(t, n: int) -> PlanePoint:
+    """The int point t over n as a PlanePoint."""
+    a, b, c, d = t
+    return PlanePoint(QuadRat(Fraction(a, n), Fraction(b, n)),
+                      QuadRat(Fraction(c, n), Fraction(d, n)))
+
+
+#: x^k for k in 0..11 as an int point over 1.
+XPOW = tuple(encode(xpow(k), 1) for k in range(12))
+
+
+def qsign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt 3, by comparing p^2 with 3q^2 when the signs differ."""
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp
+    if sp == 0:
+        return sq
+    return sp if p * p > 3 * q * q else -sp
+
+
+def qmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b*sqrt 3)(c + d*sqrt 3) as an int pair."""
+    return a * c + 3 * b * d, a * d + b * c
+
+
+def xscale(k: int, p: int, q: int) -> tuple[int, int, int, int]:
+    """The point x^k * (p + q*sqrt 3), over the modulus of the scalar."""
+    m1, n1, m2, n2 = XPOW[k % 12]
+    return (m1 * p + 3 * n1 * q, m1 * q + n1 * p, m2 * p + 3 * n2 * q, m2 * q + n2 * p)
+
+
+def times_sqrt3(t):
+    """sqrt 3 * t, over the modulus of t."""
+    a, b, c, d = t
+    return 3 * b, a, 3 * d, c
+
+
+def cross(s, t) -> tuple[int, int]:
+    """The (1, x)-determinant s.u*t.v - s.v*t.u, over the product of the moduli."""
+    p1, q1 = qmul(s[0], s[1], t[2], t[3])
+    p2, q2 = qmul(s[2], s[3], t[0], t[1])
+    return p1 - p2, q1 - q2
+
+
+@lru_cache(maxsize=None)
+def _chart(i: int, j: int):
+    """Rows and divisor k of the map t -> (c_i, c_j) with t = c_i*x^i + c_j*x^j.
+
+    Cramer's rule: c_i = cross(t, x^j)/det and c_j = cross(x^i, t)/det with
+    det = cross(x^i, x^j); 1/det is (det.p - det.q*sqrt 3)/norm."""
+    bi, bj = XPOW[i], XPOW[j]
+    dp, dq = cross(bi, bj)
+    norm = dp * dp - 3 * dq * dq
+    columns = []
+    for m in range(4):
+        unit = tuple(int(m == r) for r in range(4))
+        ci = qmul(*cross(unit, bj), dp, -dq)
+        cj = qmul(*cross(bi, unit), dp, -dq)
+        columns.append((*ci, *cj))
+    rows = [[col[r] * (1 if norm > 0 else -1) for col in columns] for r in range(4)]
+    k = gcd(norm, *(x for row in rows for x in row))
+    return tuple(tuple(x // k for x in row) for row in rows), abs(norm) // k
+
+
+def decompose(t, i: int, j: int) -> tuple[int, int, int, int]:
+    """The unique (c_i, c_j), as one int 4-tuple over the modulus of t, with
+    t = c_i*x^i + c_j*x^j.
+
+    The chart of (x^i, x^j) is a fixed int 4x4 matrix and a divisor 1, 2 or 3,
+    which must divide the image exactly (it does for every point of an op)."""
+    if (i - j) % 6 == 0:
+        raise ValueError("degenerate basis")
+    rows, k = _chart(i % 12, j % 12)
+    a, b, c, d = t
+    out = tuple(r0 * a + r1 * b + r2 * c + r3 * d for r0, r1, r2, r3 in rows)
+    if k == 1:
+        return out
+    if any(x % k for x in out):
+        raise ValueError(f"the chart of (x^{i}, x^{j}) needs entries divisible by {k}")
+    return tuple(x // k for x in out)
+
+
+class TransLattice(Enum):
+    DELTA0 = "delta0"
+    ZX = "zx"
+
+
+def lattice_contains(t, n: int, lattice: TransLattice) -> bool:
+    """Membership of the int point t over n in Z[x], or in DELTA0 = (1/sqrt 3)Z[x]."""
+    if lattice is TransLattice.DELTA0:
+        t = times_sqrt3(t)
+    return all(c % n == 0 for c in t)
+
+
+# -- coordinates over DELTA0 -------------------------------------------------------
+#
+# DELTA0 is free over Z with basis (f_1, f_2, f_3, f_4); a translation by a
+# DELTA0 element lifts to hypercube-lattice elements, and Z[x] is exactly the
+# subgroup whose lifts can keep the slicing plane fixed.
+
+
+def delta0_coords(t) -> tuple[int, int, int, int]:
+    """Coordinates of the int point t in the basis (f_1, ..., f_4), over the
+    modulus of t; all divisible by it iff t lies in DELTA0."""
+    a, b, c, d = t
+    return 3 * b + 2 * c, -2 * a - 3 * d, -c, a + 3 * d

@@ -1,21 +1,20 @@
 """Candidate singular lines for a shift parameter and their orbit structure.
 
-Lines are compared within a fixed direction x^i by decomposing anchor
-differences in the basis (x^i, x^{i+3}); only the perpendicular component
-matters.  same_orbit quotients by the projected total lattice
-(1/sqrt 3)Z[x], the translation group that the orbit counts L1 refer to.
+A line is held as the int point sqrt(3)*anchor over the modulus of its op
+(see cyclotomic).  Within a fixed direction x^i two lines are compared by the
+(1, x)-determinant of x^i and their scaled anchor difference, which is twice
+the x^(i+3) component: only the perpendicular offset matters.  same_orbit
+quotients by the projected total lattice (1/sqrt 3)Z[x], the translation
+group that the orbit counts L1 refer to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import PlanePoint, TransLattice, decompose, lattice_contains, pt_scale_mul, xpow
-from .exactfield import INV_SQRT3, LatticeId, QuadRat, SQRT3, lattice_member
-
-# orbit counts attainable by the candidate partition
-L1_VALUES = frozenset({6, 9, 12, 15, 18, 21, 24})
+from .cyclotomic import PlanePoint, cross, decode, encode, modulus, scalar, times_sqrt3, xscale, XPOW
+from .exactfield import QuadRat
 
 
 @dataclass(frozen=True)
@@ -31,71 +30,118 @@ class GammaParam:
     def pair(self):
         return (self.g1, self.g2)
 
+    @property
+    def modulus(self) -> int:
+        """The modulus N = 6*D of the op; D is the lcm of the four denominators."""
+        return modulus(self.g1, self.g2)
+
 
 def reduce_gamma(raw) -> GammaParam:
     g1, g2 = raw
     return GammaParam(g1 - QuadRat(g1.floor()), g2 - QuadRat(g2.floor()))
 
 
-@dataclass(frozen=True)
 class SingularLine:
-    direction: int  # 0..5
-    anchor: PlanePoint
+    """The line anchor + R*x^direction, for a direction in 0..5.
+
+    Held as `point`, the int point sqrt(3)*anchor over `modulus`; `anchor`
+    is decoded on first use.  Two lines are equal when their directions and
+    anchors are, whatever their moduli.
+    """
+
+    __slots__ = ("direction", "point", "modulus", "_anchor")
+
+    def __init__(self, direction: int, anchor: PlanePoint) -> None:
+        n = modulus(anchor.u, anchor.v)
+        self.direction = direction
+        self.point = times_sqrt3(encode(anchor, n))
+        self.modulus = n
+        self._anchor = anchor
+
+    @classmethod
+    def from_point(cls, direction: int, point, n: int) -> "SingularLine":
+        """The line whose scaled anchor is the int point `point` over n."""
+        line = cls.__new__(cls)
+        line.direction, line.point, line.modulus, line._anchor = direction, point, n, None
+        return line
+
+    @property
+    def anchor(self) -> PlanePoint:
+        if self._anchor is None:
+            self._anchor = decode(times_sqrt3(self.point), 3 * self.modulus)
+        return self._anchor
+
+    def over(self, n: int) -> "SingularLine":
+        """The same line over n, a multiple of its modulus."""
+        if n == self.modulus:
+            return self
+        factor = n // self.modulus
+        line = SingularLine.from_point(self.direction, tuple(c * factor for c in self.point), n)
+        line._anchor = self._anchor
+        return line
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SingularLine):
+            return NotImplemented
+        if self.direction != other.direction:
+            return False
+        if self.modulus == other.modulus:
+            return self.point == other.point
+        return self.anchor == other.anchor
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.anchor))
+
+    def __repr__(self) -> str:
+        return f"SingularLine({self.direction}, {self.anchor})"
+
+
+def common_modulus(lines) -> list[SingularLine]:
+    """The lines over the lcm of their moduli."""
+    n = lcm(*(line.modulus for line in lines))
+    return [line.over(n) for line in lines]
 
 
 def candidate_lines(gamma: GammaParam):
     """The 24 closed-form anchors that can carry singular lines.
 
+    The anchors are (x^lead*g + x^(i+1)*h)/sqrt 3 and their negatives, with
+    (g, h) = (g1, g2) in the even directions and (g2, g1) in the odd ones;
+    the lines hold them scaled by sqrt 3, over the modulus of gamma.
     Coincident duplicates (possible when a component of gamma vanishes) are
     kept; the orbit partition absorbs them.
     """
-    c1 = gamma.g1 * INV_SQRT3
-    c2 = gamma.g2 * INV_SQRT3
+    n = gamma.modulus
+    g1, g2 = scalar(gamma.g1, n), scalar(gamma.g2, n)
     out = []
-    for i in (0, 2, 4):
-        side = pt_scale_mul(xpow(i + 1), c2)
-        for lead in (i, i + 2):
-            anchor = pt_scale_mul(xpow(lead), c1) + side
-            out.append(SingularLine(i, anchor))
-            out.append(SingularLine(i, -anchor))
-    for i in (1, 3, 5):
-        side = pt_scale_mul(xpow(i + 1), c1)
-        for lead in (i + 4, i + 6):
-            anchor = pt_scale_mul(xpow(lead), c2) + side
-            out.append(SingularLine(i, anchor))
-            out.append(SingularLine(i, -anchor))
+    for i in (0, 2, 4, 1, 3, 5):
+        g, h = (g1, g2) if i % 2 == 0 else (g2, g1)
+        side = xscale(i + 1, *h)
+        for lead in ((i, i + 2) if i % 2 == 0 else (i + 4, i + 6)):
+            lead_term = xscale(lead, *g)
+            point = tuple(a + b for a, b in zip(lead_term, side))
+            out.append(SingularLine.from_point(i, point, n))
+            out.append(SingularLine.from_point(i, tuple(-c for c in point), n))
     return out
 
 
-def perp_component(l1, l2) -> QuadRat:
-    """Coefficient of x^(i+3) in the anchor difference of two parallel lines."""
-    if l1.direction % 6 != l2.direction % 6:
+def same_orbit(l1, l2) -> bool:
+    """Equivalence modulo the projected total lattice (1/sqrt 3)Z[x].
+
+    sqrt(3) times the x^(i+3) component of the anchor difference must lie in
+    (1/2)G; on the scaled anchors that is cross(x^i, difference) in G.
+    """
+    i = l1.direction % 6
+    if l2.direction % 6 != i:
         raise ValueError(
             f"cannot compare lines of directions {l1.direction} and {l2.direction}"
         )
-    i = l1.direction % 6
-    _, c_p = decompose(l2.anchor - l1.anchor, i, (i + 3) % 6)
-    return c_p
-
-
-def same_orbit(l1, l2) -> bool:
-    """Equivalence modulo the projected total lattice (1/sqrt 3)Z[x]."""
-    return lattice_member(SQRT3 * perp_component(l1, l2), LatticeId.HALF_G)
-
-
-def orbit_witness(l1, l2) -> PlanePoint:
-    """A translation t in (1/sqrt 3)Z[x] with l2.anchor - l1.anchor - t
-    parallel to the common direction.  Only exists when same_orbit holds."""
-    if not same_orbit(l1, l2):
-        raise ValueError("lines are in different orbits")
-    i = l1.direction % 6
-    c_p = perp_component(l1, l2)
-    w = SQRT3 * c_p * 2  # in G by the membership test
-    mu = QuadRat(Fraction(w.p, 2), Fraction(w.q, 6))
-    t = pt_scale_mul(xpow(i), mu) + pt_scale_mul(xpow((i + 3) % 6), c_p)
-    if not lattice_contains(t, TransLattice.DELTA0):
-        raise AssertionError("witness fell outside the lattice")
-    return t
+    if l1.modulus != l2.modulus:
+        l1, l2 = common_modulus((l1, l2))
+    n = l1.modulus
+    diff = tuple(b - a for a, b in zip(l1.point, l2.point))
+    p, q = cross(XPOW[i], diff)
+    return p % n == 0 and q % n == 0
 
 
 @dataclass(frozen=True)

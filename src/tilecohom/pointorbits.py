@@ -7,30 +7,37 @@ lines and intersections onto intersections.  In the rescaled picture two
 points of one line are equivalent exactly when their parameters differ by an
 element of G, and two points anywhere in the plane exactly when both
 {1, x}-coordinates differ by elements of G, because Z[x] = G + G*x and
-Z[x] meets every direction line R*x^k in G*x^k.  build_tables rescales the
-orbit representatives once, up front; everything downstream is coset
-arithmetic mod G.
+Z[x] meets every direction line R*x^k in G*x^k.
+
+Every line already holds its rescaled anchor as an int point over the
+modulus n of its op (see cyclotomic), so the whole stage is int arithmetic:
+a parameter is an int pair over n, a point an int 4-tuple, and reduction
+mod G or mod Z[x] is `% n` on every entry.  The parameter is solved for by
+one fixed int chart per pair of directions, and QuadRat appears only when a
+class key is decoded for display (GlobalClass.canon).
 
 The intersections of a fixed line with all translates of another then fall
 into finitely many classes: the translate contributes an offset from a fixed
-finite subgroup of R/G (coset_set below, the {0}/A3/A4 pattern), shifted by
-the anchor difference.  Multiplicities come from which directions claim the
-same class, and the global count from identifying class representatives
-modulo Z[x].
+finite subgroup of R/G (coset_set below, the {0}/A3/A4 pattern, held as int
+pairs over 6), shifted by the anchor difference.  Multiplicities come from
+which directions claim the same class, and the global count from
+identifying class representatives modulo Z[x].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cyclotomic import PlanePoint, decompose, pt_scale_mul, xpow
-from .exactfield import CosetRep, LatticeId, QuadRat, SQRT3, mod_canon
-from .lineorbits import LineOrbitSet, SingularLine
+from .cyclotomic import PlanePoint, decode, decompose, encode, xpow, xscale
+from .lineorbits import LineOrbitSet, SingularLine, common_modulus
 
 #: Multiplicity range for 0-singularities: at least two lines cross, at most
 #: one per direction.
 P_MIN, P_MAX = 2, 6
+
+#: Modulus of the coset_set offsets, which lie in (1/6)G.
+OFFSET_MODULUS = 6
 
 
 class ConsistencyError(RuntimeError):
@@ -39,14 +46,11 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class CosetSet:
-    """The translate offsets mod G seen along x^i in the basis (x^i, x^(i+d))."""
+    """The translate offsets mod G seen along x^i in the basis (x^i, x^(i+d)),
+    as int pairs over OFFSET_MODULUS in [0, OFFSET_MODULUS)."""
 
     index: int
-    offsets: tuple[QuadRat, ...]
-
-
-def _canon_sort_key(value: QuadRat):
-    return (value.p, value.q)
+    offsets: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -58,29 +62,31 @@ def coset_set(d: int) -> CosetSet:
     """
     if d not in (1, 2, 3, 4, 5):
         raise ValueError(f"basis offset {d} out of range 1..5")
-    gens = [decompose(xpow(k), 0, d)[0] for k in range(4)]
-    classes = {mod_canon(QuadRat(0)).value}
+    n = OFFSET_MODULUS
+    gens = [decompose(encode(xpow(k), n), 0, d)[:2] for k in range(4)]
+    classes = {(0, 0)}
     frontier = list(classes)
     while frontier:
         if len(classes) > 12:
             raise ConsistencyError("coset closure exceeded the A4 bound")
-        base = frontier.pop()
-        for gen in gens:
-            for step in (gen, -gen):
-                nxt = mod_canon(base + step).value
+        bp, bq = frontier.pop()
+        for gp, gq in gens:
+            for sign in (1, -1):
+                nxt = ((bp + sign * gp) % n, (bq + sign * gq) % n)
                 if nxt not in classes:
                     classes.add(nxt)
                     frontier.append(nxt)
-    return CosetSet(d, tuple(sorted(classes, key=_canon_sort_key)))
+    return CosetSet(d, tuple(sorted(classes)))
 
 
-def lambda_classes(alpha: SingularLine, beta: SingularLine) -> list[CosetRep]:
+def lambda_classes(alpha: SingularLine, beta: SingularLine) -> list[tuple[int, int]]:
     """Classes mod G of the parameters where translates of beta cross alpha.
 
     The crossing equation alpha.anchor + lam*x^i = beta.anchor + mu*x^j + t
-    with t in Z[x] is solved for lam in the basis (x^i, x^j): the anchor
-    difference contributes its first component, the translate one of the
-    coset_set offsets.
+    with t in Z[x], scaled by sqrt 3, is solved for lam in the basis
+    (x^i, x^j): the scaled anchor difference contributes its first component,
+    the translate one of the coset_set offsets.  Both lines must share one
+    modulus n; the classes are int pairs over n in [0, n), sorted.
     """
     d = (beta.direction - alpha.direction) % 6
     if d == 0:
@@ -88,29 +94,42 @@ def lambda_classes(alpha: SingularLine, beta: SingularLine) -> list[CosetRep]:
             f"parallel directions x^{alpha.direction} and x^{beta.direction}"
             " never cross"
         )
-    lam0 = decompose(beta.anchor - alpha.anchor, alpha.direction, beta.direction)[0]
-    classes = [mod_canon(lam0 + off) for off in coset_set(d).offsets]
-    return sorted(classes, key=lambda rep: _canon_sort_key(rep.value))
+    n = alpha.modulus
+    if beta.modulus != n:
+        raise ValueError(f"lines over the moduli {n} and {beta.modulus}")
+    diff = tuple(b - a for a, b in zip(alpha.point, beta.point))
+    p, q, _, _ = decompose(diff, alpha.direction, beta.direction)
+    step = n // OFFSET_MODULUS
+    return sorted(((p + op * step) % n, (q + oq * step) % n)
+                  for op, oq in coset_set(d).offsets)
 
 
-def global_key(alpha: SingularLine, lam: CosetRep) -> PlanePoint:
-    """Z[x]-coset key of the point at parameter lam on alpha.
+def global_key(alpha: SingularLine, lam: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Z[x]-coset key of the point at scaled parameter lam on alpha.
 
-    Componentwise reduction mod G is exactly reduction mod Z[x] = G + G*x,
-    and the key does not depend on which class representative lam carries
-    because G*x^k is contained in Z[x].
+    The point is sqrt(3)*alpha.anchor + lam*x^i over alpha's modulus n;
+    reducing each entry mod n is exactly reduction mod Z[x] = G + G*x, and
+    the key does not depend on which class representative lam is because
+    G*x^k is contained in Z[x].
     """
-    point = alpha.anchor + pt_scale_mul(xpow(alpha.direction), lam.value)
-    return PlanePoint(mod_canon(point.u).value, mod_canon(point.v).value)
+    n = alpha.modulus
+    step = xscale(alpha.direction, *lam)
+    return tuple((a + b) % n for a, b in zip(alpha.point, step))
 
 
 @dataclass(frozen=True)
 class GlobalClass:
-    """One orbit of 0-singularities with its canonical Z[x]-coset key."""
+    """One orbit of 0-singularities, keyed by its Z[x]-coset over a modulus."""
 
-    canon: PlanePoint
+    key: tuple[int, int, int, int]
+    modulus: int
     p: int
     incident_orbits: tuple[int, ...]
+
+    @cached_property
+    def canon(self) -> PlanePoint:
+        """The canonical coset representative, with coordinates in [0, 1)."""
+        return decode(self.key, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -153,16 +172,6 @@ class IntersectionTables:
         return sum(entry.total for entry in self.per_orbit)
 
 
-def _rescaled_representatives(orbits: LineOrbitSet) -> list[SingularLine]:
-    reps = []
-    for orbit in orbits.orbits:
-        line = orbit.representative
-        reps.append(
-            SingularLine(line.direction % 6, pt_scale_mul(line.anchor, SQRT3))
-        )
-    return reps
-
-
 def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     """Count point orbits per line orbit and globally, with consistency checks.
 
@@ -172,23 +181,24 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     verifies rather than assumes.  Global classes are then keyed mod Z[x],
     and each must be claimed exactly once per incident orbit — that is the
     double-counting identity L0 = sum_p (sum_alpha L0_p^alpha) / p in
-    per-class form.
+    per-class form.  Everything runs on the int points of the
+    representatives, over one common modulus.
     """
-    reps = _rescaled_representatives(orbits)
+    reps = common_modulus([orbit.representative for orbit in orbits.orbits])
+    directions = [line.direction % 6 for line in reps]
     per_orbit = []
-    global_incidence: dict[tuple[QuadRat, QuadRat, QuadRat, QuadRat], dict] = {}
+    global_incidence: dict[tuple[int, int, int, int], dict] = {}
     for ia, alpha in enumerate(reps):
-        claims: dict[CosetRep, list[int]] = {}
+        claims: dict[tuple[int, int], list[int]] = {}
         for ib, beta in enumerate(reps):
-            if beta.direction == alpha.direction:
+            if directions[ib] == directions[ia]:
                 continue
-            for rep in lambda_classes(alpha, beta):
-                claims.setdefault(rep, []).append(ib)
+            for lam in lambda_classes(alpha, beta):
+                claims.setdefault(lam, []).append(ib)
         by_p = [0] * (P_MAX - P_MIN + 1)
-        for lam in sorted(claims, key=lambda rep: _canon_sort_key(rep.value)):
+        for lam in sorted(claims):
             incident = claims[lam]
-            directions = {reps[ib].direction for ib in incident}
-            if len(directions) != len(incident):
+            if len({directions[ib] for ib in incident}) != len(incident):
                 raise ConsistencyError(
                     "two orbits of one direction claim the same point class;"
                     " the line partition is too coarse"
@@ -197,22 +207,20 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
             if not P_MIN <= p <= P_MAX:
                 raise ConsistencyError(f"crossing multiplicity {p} out of range")
             by_p[p - P_MIN] += 1
-            key_point = global_key(alpha, lam)
-            key = (key_point.u, key_point.v)
+            key = global_key(alpha, lam)
             members = tuple(sorted([ia, *incident]))
-            entry = global_incidence.setdefault(
-                key, {"canon": key_point, "orbits": members, "claims": 0}
-            )
+            entry = global_incidence.setdefault(key, {"orbits": members, "claims": 0})
             if entry["orbits"] != members:
                 raise ConsistencyError(
                     "one point class reached with two different line sets"
                 )
             entry["claims"] += 1
-        per_orbit.append(OrbitPointCount(ia, alpha.direction, tuple(by_p)))
+        per_orbit.append(OrbitPointCount(ia, directions[ia], tuple(by_p)))
 
+    n = reps[0].modulus if reps else OFFSET_MODULUS
     points = []
     l0_by_p = [0] * (P_MAX - P_MIN + 1)
-    for key in sorted(global_incidence, key=lambda k: tuple(_canon_sort_key(v) for v in k)):
+    for key in sorted(global_incidence):
         entry = global_incidence[key]
         p = len(entry["orbits"])
         if entry["claims"] != p:
@@ -221,7 +229,7 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 " orbits; double counting broken"
             )
         l0_by_p[p - P_MIN] += 1
-        points.append(GlobalClass(entry["canon"], p, entry["orbits"]))
+        points.append(GlobalClass(key, n, p, entry["orbits"]))
 
     for p in range(P_MIN, P_MAX + 1):
         on_lines = sum(entry.by_p[p - P_MIN] for entry in per_orbit)

@@ -5,32 +5,49 @@ Conventions used throughout: a corner of the unit 6-cube is a 6-tuple of
 bits; an edge code k in 0..11 stands for the edge vector (1/sqrt 3) x^k in
 the internal plane together with the implied lattice step (code k and code
 k+6 are opposite steps).  Directions of lines are always reduced mod 6.
+
+Every computation here runs on the int points of cyclotomic.  The window's
+own points are sums of the edge vectors, whose coordinates lie in (1/3)G, so
+build_window, enumerate_cubes and verify_counts work over the modulus 3.  A
+slice works over the modulus of its gamma, 6*D, which makes the heights of
+the cutting planes, the cut anchors and their canonical forms exact ints.
+Every orientation, sign and range test is an int comparison (qsign).  QuadRat
+appears only where a result is handed out: Window.vertex_set, PlaneCell.hull
+and SlicedLine.anchor, each decoded once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .cyclotomic import (
-    ORIGIN,
+    XPOW,
     PlanePoint,
     TransLattice,
+    cross,
+    decode,
     decompose,
     delta0_coords,
+    encode,
     f_vector,
     lattice_contains,
-    pt_scale_mul,
-    xpow,
+    modulus,
+    qmul,
+    qsign,
+    scalar,
+    xscale,
 )
-from .exactfield import INV_SQRT3, QuadRat, SQRT3
 from . import homalg
+
+#: Modulus of the window's own points: their coordinates lie in (1/3)G.
+WINDOW_MODULUS = 3
 
 # plane shifts of the six lattice generators
 DELTAS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1))
-F_VECS = tuple(f_vector(i) for i in range(1, 7))
+#: f_1..f_6 as int points over WINDOW_MODULUS.
+F_VECS = tuple(encode(f_vector(i), WINDOW_MODULUS) for i in range(1, 7))
 
 # edge code -> (sign, 0-based generator index); code k is the edge vector
 # (1/sqrt 3) x^k, which equals sign * f_(j+1)
@@ -41,7 +58,8 @@ CODE_STEP = {
 
 
 def edge_vector(code):
-    return pt_scale_mul(xpow(code), INV_SQRT3)
+    """The edge vector (1/sqrt 3) x^code as an int point over WINDOW_MODULUS."""
+    return xscale(code, 0, 1)
 
 
 def code_axis(code):
@@ -64,35 +82,44 @@ def corner_fpart(corner):
 
 
 def corner_fperp(corner):
-    p = ORIGIN
+    """The internal-plane image of a corner, an int point over WINDOW_MODULUS."""
+    a = b = c = d = 0
     for bit, f in zip(corner, F_VECS):
         if bit:
-            p = p + f
-    return p
+            a += f[0]
+            b += f[1]
+            c += f[2]
+            d += f[3]
+    return (a, b, c, d)
 
 
-def _pt_key(p):
-    return (p.u.p, p.u.q, p.v.p, p.v.q)
+def _sub(s, t):
+    return tuple(x - y for x, y in zip(s, t))
 
 
-def _cross(o, a, b):
-    return ((a.u - o.u) * (b.v - o.v) - (a.v - o.v) * (b.u - o.u)).sign()
+def _orientation(o, a, b):
+    return qsign(*cross(_sub(a, o), _sub(b, o)))
+
+
+def _real_order(s, t):
+    """Compare the real coordinates u, then v, of two int points over one modulus."""
+    return qsign(s[0] - t[0], s[1] - t[1]) or qsign(s[2] - t[2], s[3] - t[3])
 
 
 def convex_hull(points):
-    """Counterclockwise hull with exact orientation tests; collinear interior
-    points of edges are dropped."""
-    pts = sorted(set(points), key=lambda p: (p.u, p.v))
+    """Counterclockwise hull of int points over one modulus, with exact
+    orientation tests; collinear interior points of edges are dropped."""
+    pts = sorted(set(points), key=cmp_to_key(_real_order))
     if len(pts) <= 2:
         return tuple(pts)
     lower = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _orientation(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _orientation(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     return tuple(lower[:-1] + upper[:-1])
@@ -109,7 +136,8 @@ class PlaneCell:
 @dataclass(frozen=True)
 class Window:
     cells: dict
-    vertex_set: frozenset  # {(fpart, fperp)}
+    vertex_set: frozenset  # {(fpart, fperp)}, fperp a PlanePoint
+    points: frozenset  # {(fpart, fperp)}, fperp an int point over WINDOW_MODULUS
 
     @property
     def vertex_count(self):
@@ -126,7 +154,7 @@ def build_window() -> Window:
     for corner in itertools.product((0, 1), repeat=6):
         groups.setdefault(corner_fpart(corner), []).append(corner)
     cells = {}
-    vertex_set = set()
+    points = set()
     for fpart, corners in groups.items():
         kind = _CELL_KIND.get(len(corners))
         if kind is None:
@@ -136,19 +164,21 @@ def build_window() -> Window:
             raise AssertionError(
                 f"plane {fpart}: hull size {len(hull)}, expected {_HULL_SIZE[kind]}"
             )
-        cells[fpart] = PlaneCell(fpart, kind, tuple(corners), hull)
+        decoded = tuple(decode(p, WINDOW_MODULUS) for p in hull)
+        cells[fpart] = PlaneCell(fpart, kind, tuple(corners), decoded)
         for p in hull:
-            vertex_set.add((fpart, p))
+            points.add((fpart, p))
     kinds = [c.kind for c in cells.values()]
     if not (
         len(cells) == 16
         and kinds.count("point") == 4
         and kinds.count("triangle") == 8
         and kinds.count("hexagon") == 4
-        and len(vertex_set) == 52
+        and len(points) == 52
     ):
         raise AssertionError("window cell census failed")
-    return Window(cells, frozenset(vertex_set))
+    vertex_set = frozenset((fp, decode(p, WINDOW_MODULUS)) for fp, p in points)
+    return Window(cells, vertex_set, frozenset(points))
 
 
 # -- the 40 cubes ------------------------------------------------------------------
@@ -238,13 +268,13 @@ class Cube:
         return out
 
 
-def _valid_cube(base, codes, vertex_set):
+def _valid_cube(base, codes, points):
     """All 8 corners in the unit 6-cube, each projecting onto a window vertex."""
     probe = Cube(-1, "probe", base, codes)
     for corner in probe.corners():
         if any(b not in (0, 1) for b in corner):
             return False
-        if (corner_fpart(corner), corner_fperp(corner)) not in vertex_set:
+        if (corner_fpart(corner), corner_fperp(corner)) not in points:
             return False
     return True
 
@@ -256,7 +286,7 @@ def enumerate_cubes():
 
     def add(kind, base, codes):
         codes = tuple(codes)
-        if not _valid_cube(base, codes, window.vertex_set):
+        if not _valid_cube(base, codes, window.points):
             raise AssertionError(f"cube {base} {codes} has a corner off the window")
         cubes.append(Cube(len(cubes), kind, tuple(base), codes))
 
@@ -274,7 +304,7 @@ def enumerate_cubes():
             corner
             for corner in itertools.product((0, 1), repeat=6)
             if corner_fpart(corner) == plane
-            and _valid_cube(corner, codes, window.vertex_set)
+            and _valid_cube(corner, codes, window.points)
         ]
         if len(found) != 1:
             raise AssertionError(f"triple {codes}: {len(found)} admissible bases")
@@ -287,17 +317,38 @@ def enumerate_cubes():
     return tuple(cubes)
 
 
-def norm_sq(p: PlanePoint) -> QuadRat:
-    """Squared length of u + v*x; the basis vectors meet at 30 degrees."""
-    return p.u * p.u + p.v * p.v + SQRT3 * p.u * p.v
+def norm_sq(t):
+    """Squared length u^2 + v^2 + sqrt(3)*u*v of the int point t = u + v*x over
+    n (the basis vectors meet at 30 degrees), as an int pair over n^2."""
+    a, b, c, d = t
+    uu, vv, uv = qmul(a, b, a, b), qmul(c, d, c, d), qmul(a, b, c, d)
+    return uu[0] + vv[0] + 3 * uv[1], uu[1] + vv[1] + uv[0]
+
+
+#: |f_i|^2 = 1/3, over WINDOW_MODULUS^2.
+EDGE_NORM_SQ = (3, 0)
+
+_PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                 ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
 def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    """Determinant of a 3x3 matrix of int pairs p + q*sqrt 3."""
+    tp = tq = 0
+    for (i, j, k), sign in _PERMUTATIONS:
+        p, q = qmul(*qmul(*m[0][i], *m[1][j]), *m[2][k])
+        tp += sign * p
+        tq += sign * q
+    return tp, tq
+
+
+def _dot(n, w):
+    tp = tq = 0
+    for a, b in zip(n, w):
+        p, q = qmul(*a, *b)
+        tp += p
+        tq += q
+    return tp, tq
 
 
 def _facet_corner_sets():
@@ -308,17 +359,12 @@ def _facet_corner_sets():
     shift).  A 3-face lies on the boundary exactly when its three spanning
     generators span a hyperplane and the remaining three generators are
     summed on one fixed side of it; the two sides give two opposite faces.
-    Works entirely in exact coordinates; independent of the tabulated cube
-    list, which it must reproduce."""
+    Works on the generators times 3, whose entries are int pairs
+    p + q*sqrt 3; independent of the tabulated cube list, which it must
+    reproduce."""
     gens = []
-    for f, (d1, d2) in zip(F_VECS, DELTAS):
-        gens.append((f.u, f.v, QuadRat(d1), QuadRat(d2)))
-
-    def dot(n, w):
-        total = QuadRat(0)
-        for a, b in zip(n, w):
-            total = total + a * b
-        return total
+    for (a, b, c, d), (d1, d2) in zip(F_VECS, DELTAS):
+        gens.append(((a, b), (c, d), (WINDOW_MODULUS * d1, 0), (WINDOW_MODULUS * d2, 0)))
 
     faces = set()
     for span in itertools.combinations(range(6), 3):
@@ -326,11 +372,11 @@ def _facet_corner_sets():
         for k in range(4):
             cols = [i for i in range(4) if i != k]
             minor = [[gens[j][i] for i in cols] for j in span]
-            val = _det3(minor)
-            normal.append(-val if k % 2 else val)
-        if all(c.sign() == 0 for c in normal):
+            p, q = _det3(minor)
+            normal.append((-p, -q) if k % 2 else (p, q))
+        if all(qsign(*c) == 0 for c in normal):
             raise AssertionError(f"generators {span} do not span a hyperplane")
-        sides = {j: dot(normal, gens[j]).sign() for j in range(6) if j not in span}
+        sides = {j: qsign(*_dot(normal, gens[j])) for j in range(6) if j not in span}
         if any(s == 0 for s in sides.values()):
             raise AssertionError(f"hyperplane of {span} meets a fourth generator")
         for flip in (1, -1):
@@ -366,7 +412,7 @@ def verify_counts():
 
     vertex_corners = set(valency)
     window_ok = all(
-        (corner_fpart(c), corner_fperp(c)) in window.vertex_set for c in vertex_corners
+        (corner_fpart(c), corner_fperp(c)) in window.points for c in vertex_corners
     )
 
     histogram = {}
@@ -377,9 +423,8 @@ def verify_counts():
     for corner, val in valency.items():
         cubes_by_valency.setdefault(val, set()).add(membership[corner])
 
-    third = QuadRat(Fraction(1, 3))
     uniform = all(
-        norm_sq(corner_fperp(a) - corner_fperp(b)) == third
+        norm_sq(_sub(corner_fperp(a), corner_fperp(b))) == EDGE_NORM_SQ
         for a, b in (tuple(e) for e in edges)
     )
 
@@ -433,20 +478,16 @@ def _plane_preserving_sublattice_report():
     coords = []
     contained = True
     for vec in kernel:
-        p = ORIGIN
-        for n, f in zip(vec, F_VECS):
-            p = p + pt_scale_mul(f, QuadRat(n))
-        if not lattice_contains(p, TransLattice.ZX):
+        p = tuple(sum(n * f[k] for n, f in zip(vec, F_VECS)) for k in range(4))
+        if not lattice_contains(p, WINDOW_MODULUS, TransLattice.ZX):
             contained = False
-        coords.append([int(c) for c in delta0_coords(p)])
+        coords.append([c // WINDOW_MODULUS for c in delta0_coords(p)])
     factors = homalg.smith(coords).factors
     index = 1
     for f in factors:
         index *= f
 
-    ring_basis = []
-    for k in range(4):
-        ring_basis.append([int(c) for c in delta0_coords(xpow(k))])
+    ring_basis = [list(delta0_coords(XPOW[k])) for k in range(4)]
     ring_index = 1
     for f in homalg.smith(ring_basis).factors:
         ring_index *= f
@@ -469,22 +510,23 @@ class SlicedLine:
     anchor: PlanePoint  # perpendicular-reduced, lives in the base plane
     sources: tuple  # (cube ident, delta) pairs contributing a segment
 
-    def sort_key(self):
-        return (self.direction, _pt_key(self.anchor))
+
+def canonical_anchor(direction: int, t):
+    """Drop the component of the int point t along the line's own direction."""
+    perp = (direction + 3) % 6
+    _, _, cp, cq = decompose(t, direction, perp)
+    return xscale(perp, cp, cq)
 
 
-def canonical_anchor(direction: int, point: PlanePoint) -> PlanePoint:
-    """Drop the component of the anchor along the line's own direction."""
-    _, c_perp = decompose(point, direction, (direction + 3) % 6)
-    return pt_scale_mul(xpow((direction + 3) % 6), c_perp)
+def _in_open(s, upper: int, n: int) -> bool:
+    """0 < s < upper for the scalar s over n."""
+    p, q = s
+    return qsign(p, q) > 0 and qsign(upper * n - p, -q) > 0
 
 
-def _in_open(value: QuadRat, upper: int) -> bool:
-    return value.sign() > 0 and (QuadRat(upper) - value).sign() > 0
-
-
-def _in_closed_unit(value: QuadRat) -> bool:
-    return value.sign() >= 0 and (QuadRat(1) - value).sign() >= 0
+def _in_closed_unit(s, n: int) -> bool:
+    p, q = s
+    return qsign(p, q) >= 0 and qsign(n - p, -q) >= 0
 
 
 def _pair_and_extra(codes):
@@ -503,32 +545,48 @@ def _pair_and_extra(codes):
     return a, b, extra
 
 
-def _cut_standard(cube, delta, gamma):
+def _height(cube, delta, gamma, n, axis, sign):
+    """Signed height sign * (plane - base plane) along one axis, over n."""
+    p, q = gamma[axis]
+    return sign * (p + (delta[axis] - corner_fpart(cube.base)[axis]) * n), sign * q
+
+
+def _along(code, s):
+    """The point s * edge_vector(code), over the modulus n of s.
+
+    The product of the edge vector over WINDOW_MODULUS and s is over 3n; it
+    divides back to n exactly because 3 divides s.p for every height of a
+    slice, whose entries are multiples of 6."""
+    a, b, c, d = edge_vector(code)
+    u, v = qmul(a, b, *s), qmul(c, d, *s)
+    return tuple(x // WINDOW_MODULUS for x in (*u, *v))
+
+
+def _base(cube, n):
+    """The internal-plane image of the cube's base corner, over n."""
+    return tuple(c * (n // WINDOW_MODULUS) for c in corner_fperp(cube.base))
+
+
+def _add(*points):
+    return tuple(map(sum, zip(*points)))
+
+
+def _cut_standard(cube, delta, gamma, n):
     a, b, extra = _pair_and_extra(cube.codes)
-    base_fp = corner_fpart(cube.base)
-    axis_p, axis_r = code_axis(a), code_axis(extra)
-    plane = (QuadRat(delta[0]) + gamma[0], QuadRat(delta[1]) + gamma[1])
-    s1 = (plane[axis_p] - QuadRat(base_fp[axis_p])) * code_fsign(a)
-    s2 = (plane[axis_r] - QuadRat(base_fp[axis_r])) * code_fsign(extra)
-    if not (_in_open(s1, 2) and _in_closed_unit(s2)):
+    s1 = _height(cube, delta, gamma, n, code_axis(a), code_fsign(a))
+    s2 = _height(cube, delta, gamma, n, code_axis(extra), code_fsign(extra))
+    if not (_in_open(s1, 2, n) and _in_closed_unit(s2, n)):
         return []
-    anchor = (
-        corner_fperp(cube.base)
-        + pt_scale_mul(edge_vector(b), s1)
-        + pt_scale_mul(edge_vector(extra), s2)
-    )
+    anchor = _add(_base(cube, n), _along(b, s1), _along(extra, s2))
     return [((a + 5) % 6, anchor)]
 
 
-def _cut_long(cube, delta, gamma):
+def _cut_long(cube, delta, gamma, n):
     axis = code_axis(cube.codes[0])
-    fixed = 1 - axis
-    base_fp = corner_fpart(cube.base)
-    plane = (QuadRat(delta[0]) + gamma[0], QuadRat(delta[1]) + gamma[1])
-    if (plane[fixed] - QuadRat(base_fp[fixed])).sign() != 0:
+    if _height(cube, delta, gamma, n, 1 - axis, 1) != (0, 0):
         return []
-    s = (plane[axis] - QuadRat(base_fp[axis])) * code_fsign(cube.codes[0])
-    if not _in_open(s, 3):
+    s = _height(cube, delta, gamma, n, axis, code_fsign(cube.codes[0]))
+    if not _in_open(s, 3, n):
         return []
     out = []
     for m in cube.codes:
@@ -537,13 +595,9 @@ def _cut_long(cube, delta, gamma):
         if (b - a) % 12 != 4:
             a, b = b, a
         for alpha in (0, 1):
-            r = s - alpha
-            if _in_open(r, 2):
-                anchor = (
-                    corner_fperp(cube.base)
-                    + pt_scale_mul(edge_vector(m), QuadRat(alpha))
-                    + pt_scale_mul(edge_vector(b), r)
-                )
+            r = (s[0] - alpha * n, s[1])
+            if _in_open(r, 2, n):
+                anchor = _add(_base(cube, n), _along(m, (alpha * n, 0)), _along(b, r))
                 out.append(((a + 5) % 6, anchor))
     return out
 
@@ -554,17 +608,19 @@ def slice_detailed(gamma):
     gamma must already be reduced into [0,1)^2.  The plane translations act
     only on the plane index, never on the in-plane coordinates, so carrying
     every cut to the base plane keeps its anchor as computed; cuts from
-    different planes landing on one line merge.  Returns (lines, incidences)
-    where incidences is the set of (cube ident, delta) pairs with a
-    nonempty cut.
+    different planes landing on one line merge.  The cuts run on int points
+    over the modulus of gamma, and each line's anchor is decoded once.
+    Returns (lines, incidences) where incidences is the set of (cube ident,
+    delta) pairs with a nonempty cut.
     """
-    cubes = enumerate_cubes()
+    n = modulus(*gamma)
+    scaled = (scalar(gamma[0], n), scalar(gamma[1], n))
     found = {}
     incidences = set()
-    for cube in cubes:
+    for cube in enumerate_cubes():
         cut = _cut_long if cube.kind == "long" else _cut_standard
         for delta in itertools.product(range(-1, 3), repeat=2):
-            segments = cut(cube, delta, gamma)
+            segments = cut(cube, delta, scaled, n)
             if not segments:
                 continue
             incidences.add((cube.ident, delta))
@@ -572,48 +628,7 @@ def slice_detailed(gamma):
                 key = (direction, canonical_anchor(direction, anchor))
                 found.setdefault(key, set()).add((cube.ident, delta))
     lines = [
-        SlicedLine(direction, anchor, tuple(sorted(srcs)))
-        for (direction, anchor), srcs in found.items()
+        SlicedLine(direction, decode(anchor, n), tuple(sorted(srcs)))
+        for (direction, anchor), srcs in sorted(found.items())
     ]
-    lines.sort(key=SlicedLine.sort_key)
     return lines, incidences
-
-
-def cut_line_forms(gamma):
-    """Closed form of the line each cut cube produces, one (direction, anchor)
-    pair per cut family.
-
-    For a standard cube the plane-height fractions attach to the signed pair
-    and extra edge vectors, so up to translations by the base-plane lattice
-    (and sliding along the direction) the cut line is a function of the code
-    data alone.  The sign of each term follows the edge's own plane-shift
-    step; the 12 standard cubes whose two steps disagree in sign contribute
-    mixed-sign forms that a uniform-sign compilation would miss.  Long cubes
-    only meet the planes when the transverse gamma component vanishes; their
-    polygon sides then follow the paired edge vector of each facet.  Every
-    line from slice_detailed() is base-lattice-equivalent to one of these forms and
-    conversely, which is what the cross-check tests assert.
-    """
-    out = []
-    for cube in enumerate_cubes():
-        if cube.kind == "long":
-            axis = code_axis(cube.codes[0])
-            if gamma[1 - axis].sign() != 0:
-                continue
-            for m in cube.codes:
-                a, b = [c for c in cube.codes if c != m]
-                if (b - a) % 12 != 4:
-                    a, b = b, a
-                anchor = pt_scale_mul(edge_vector(b), gamma[axis])
-                if code_fsign(b) < 0:
-                    anchor = -anchor
-                out.append(((a + 5) % 6, anchor))
-        else:
-            a, _, extra = _pair_and_extra(cube.codes)
-            pair_term = pt_scale_mul(edge_vector(a), gamma[code_axis(a)])
-            extra_term = pt_scale_mul(edge_vector(extra), gamma[code_axis(extra)])
-            anchor = (pair_term if code_fsign(a) > 0 else -pair_term) + (
-                extra_term if code_fsign(extra) > 0 else -extra_term
-            )
-            out.append(((a + 5) % 6, anchor))
-    return out

@@ -5,19 +5,26 @@ import pytest
 
 from tilecohom.exactfield import INV_SQRT3, QuadRat, SQRT3
 from tilecohom.cyclotomic import (
-    ORIGIN,
     PlanePoint,
     TransLattice,
-    congruence_class,
+    cross,
+    decode,
     decompose,
     delta0_coords,
+    encode,
     f_vector,
     format_point,
     lattice_contains,
-    pt_mul,
+    modulus,
     pt_scale_mul,
+    qsign,
+    times_sqrt3,
     xpow,
+    xscale,
 )
+
+
+ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
 
 
 def rnd_point(rng, span=9, den=6):
@@ -28,6 +35,35 @@ def rnd_point(rng, span=9, den=6):
         )
 
     return PlanePoint(q(), q())
+
+
+def pt_mul(a, b):
+    """Full complex product, reducing x^2 = sqrt(3)*x - 1."""
+    cross_term = a.v * b.v
+    return PlanePoint(a.u * b.u - cross_term, a.u * b.v + a.v * b.u + SQRT3 * cross_term)
+
+
+def contains(p, lattice):
+    n = modulus(p.u, p.v)
+    return lattice_contains(encode(p, n), n, lattice)
+
+
+def chart(p, i, j):
+    """decompose on the int form of p, decoded back to (c_i, c_j)."""
+    n = modulus(p.u, p.v)
+    ci_p, ci_q, cj_p, cj_q = decompose(encode(p, n), i, j)
+    return (QuadRat(Fraction(ci_p, n), Fraction(ci_q, n)),
+            QuadRat(Fraction(cj_p, n), Fraction(cj_q, n)))
+
+
+def congruence_class(t):
+    """Mod-3 plane shift induced by any hypercube-lattice lift of t in DELTA0."""
+    n = modulus(t.u, t.v)
+    coords = delta0_coords(encode(t, n))
+    if any(c % n for c in coords):
+        raise ValueError("point is not in the translation lattice")
+    t1, t2, t3, t4 = (c // n for c in coords)
+    return ((t1 - t3) % 3, (t2 - t4) % 3)
 
 
 def test_xpow_chart():
@@ -82,10 +118,10 @@ def test_xpow_multiplicative():
 
 
 def test_lattice_contains_examples():
-    assert lattice_contains(PlanePoint(SQRT3, QuadRat(-1)), TransLattice.ZX)
-    assert lattice_contains(f_vector(1), TransLattice.DELTA0)
-    assert not lattice_contains(f_vector(1), TransLattice.ZX)
-    assert not lattice_contains(
+    assert contains(PlanePoint(SQRT3, QuadRat(-1)), TransLattice.ZX)
+    assert contains(f_vector(1), TransLattice.DELTA0)
+    assert not contains(f_vector(1), TransLattice.ZX)
+    assert not contains(
         PlanePoint(QuadRat(0), QuadRat(Fraction(1, 2))), TransLattice.DELTA0
     )
 
@@ -97,24 +133,28 @@ def test_zx_inside_delta0():
             QuadRat(rng.randint(-9, 9), rng.randint(-9, 9)),
             QuadRat(rng.randint(-9, 9), rng.randint(-9, 9)),
         )
-        assert lattice_contains(p, TransLattice.ZX)
-        assert lattice_contains(p, TransLattice.DELTA0)
+        assert contains(p, TransLattice.ZX)
+        assert contains(p, TransLattice.DELTA0)
 
 
 def test_decompose_chart():
-    c0, c3 = decompose(xpow(1), 0, 3)
+    c0, c3 = chart(xpow(1), 0, 3)
     assert (c0, c3) == (SQRT3 / 2, QuadRat(Fraction(1, 2)))
-    c0, c4 = decompose(xpow(2), 0, 4)
+    c0, c4 = chart(xpow(2), 0, 4)
     assert (c0, c4) == (QuadRat(1), QuadRat(1))
-    c0, c3 = decompose(xpow(4), 0, 3)
+    c0, c3 = chart(xpow(4), 0, 3)
     assert (c0, c3) == (QuadRat(Fraction(-1, 2)), SQRT3 / 2)
 
 
 def test_decompose_degenerate():
     with pytest.raises(ValueError, match="degenerate basis"):
-        decompose(xpow(1), 2, 2)
+        decompose(encode(xpow(1), 6), 2, 2)
     with pytest.raises(ValueError, match="degenerate basis"):
-        decompose(xpow(1), 1, 7 % 6 + 6)  # same residue mod 6
+        decompose(encode(xpow(1), 6), 1, 7 % 6 + 6)  # same residue mod 6
+    # Over 1 the entries of x^1 are not multiples of the divisor 2 of the
+    # chart (x^0, x^3), and the int chart refuses instead of flooring.
+    with pytest.raises(ValueError, match="divisible by 2"):
+        decompose(encode(xpow(1), 1), 0, 3)
 
 
 def test_decompose_reconstructs():
@@ -123,7 +163,7 @@ def test_decompose_reconstructs():
         p = rnd_point(rng)
         i = rng.randrange(6)
         j = (i + rng.randint(1, 5)) % 6
-        ci, cj = decompose(p, i, j)
+        ci, cj = chart(p, i, j)
         assert pt_scale_mul(xpow(i), ci) + pt_scale_mul(xpow(j), cj) == p
 
 
@@ -135,8 +175,10 @@ def test_delta0_coords_are_f_basis_coords():
         p = ORIGIN
         for c, f in zip(coeffs, fs):
             p = p + pt_scale_mul(f, QuadRat(c))
-        assert delta0_coords(p) == tuple(Fraction(c) for c in coeffs)
-        assert lattice_contains(p, TransLattice.DELTA0)
+        n = modulus(p.u, p.v)
+        assert tuple(Fraction(c, n) for c in delta0_coords(encode(p, n))) == tuple(
+            Fraction(c) for c in coeffs)
+        assert contains(p, TransLattice.DELTA0)
 
 
 def test_congruence_class_generators():
@@ -158,7 +200,7 @@ def test_congruence_kernel_is_zx():
         for f in fs:
             p = p + pt_scale_mul(f, QuadRat(rng.randint(-6, 6)))
         in_kernel = congruence_class(p) == (0, 0)
-        assert in_kernel == lattice_contains(p, TransLattice.ZX)
+        assert in_kernel == contains(p, TransLattice.ZX)
 
 
 def test_congruence_additive():
@@ -196,3 +238,41 @@ def test_format_point():
     assert format_point(xpow(2)) == "-1+√3·x"
     assert format_point(ORIGIN) == "0"
     assert format_point(PlanePoint(QuadRat(0), QuadRat(Fraction(1, 2)))) == "1/2·x"
+
+
+# ---------------------------------------------------------------- int coordinates
+
+
+def test_encode_decode_round_trip():
+    rng = random.Random(18)
+    for _ in range(100):
+        p = rnd_point(rng)
+        n = modulus(p.u, p.v)
+        t = encode(p, n)
+        assert all(c % 6 == 0 for c in t)
+        assert decode(t, n) == p
+        assert decode(tuple(3 * c for c in t), 3 * n) == p
+    with pytest.raises(ValueError, match="not a multiple"):
+        encode(PlanePoint(QuadRat(Fraction(1, 7)), QuadRat(0)), 6)
+
+
+def test_qsign_matches_quadrat_sign():
+    rng = random.Random(19)
+    samples = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (7, -4), (-7, 4), (97, -56), (-97, 56)]
+    samples += [(rng.randint(-10**40, 10**40), rng.randint(-10**40, 10**40)) for _ in range(300)]
+    for p, q in samples:
+        assert qsign(p, q) == QuadRat(p, q).sign()
+
+
+def test_int_products_match_quadrat():
+    rng = random.Random(20)
+    for _ in range(100):
+        p, r = rnd_point(rng), rnd_point(rng)
+        k = rng.randrange(-12, 24)
+        s = QuadRat(Fraction(rng.randint(-9, 9), 6), Fraction(rng.randint(-9, 9), 6))
+        n = 6 * modulus(p.u, p.v, r.u, r.v)
+        assert decode(xscale(k, s.p.numerator * (6 // s.p.denominator),
+                             s.q.numerator * (6 // s.q.denominator)), 6) == pt_scale_mul(xpow(k), s)
+        assert decode(times_sqrt3(encode(p, n)), n) == pt_scale_mul(p, SQRT3)
+        cp, cq = cross(encode(p, n), encode(r, n))
+        assert QuadRat(Fraction(cp, n * n), Fraction(cq, n * n)) == p.u * r.v - p.v * r.u

@@ -5,19 +5,31 @@ from fractions import Fraction
 
 import pytest
 
-from tilecohom.cyclotomic import ORIGIN, TransLattice, f_vector, lattice_contains, pt_scale_mul, xpow
+from tilecohom.cyclotomic import (
+    PlanePoint,
+    TransLattice,
+    encode,
+    f_vector,
+    lattice_contains,
+    modulus,
+    pt_scale_mul,
+    xpow,
+)
 from tilecohom.exactfield import INV_SQRT3, SQRT3, LatticeId, QuadRat, lattice_member
 from tilecohom.lineorbits import (
-    L1_VALUES,
     GammaParam,
     SingularLine,
     candidate_lines,
     orbit_partition,
-    orbit_witness,
-    perp_component,
     reduce_gamma,
     same_orbit,
 )
+
+# orbit counts attainable by the candidate partition
+L1_VALUES = frozenset({6, 9, 12, 15, 18, 21, 24})
+
+
+ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
 
 
 def qr(a, b=0):
@@ -58,6 +70,43 @@ def odd_pair(gamma, i):
 
 def negated(line):
     return SingularLine(line.direction, -line.anchor)
+
+
+def in_delta0(p):
+    n = modulus(p.u, p.v)
+    return lattice_contains(encode(p, n), n, TransLattice.DELTA0)
+
+
+def perp_component(l1, l2) -> QuadRat:
+    """Coefficient of x^((i+3) mod 6) in the anchor difference of two parallel
+    lines, by Cramer's rule over Q(sqrt 3): the QuadRat reference for same_orbit."""
+    if l1.direction % 6 != l2.direction % 6:
+        raise ValueError(
+            f"cannot compare lines of directions {l1.direction} and {l2.direction}"
+        )
+    i = l1.direction % 6
+    bi, bj = xpow(i), xpow((i + 3) % 6)
+    diff = l2.anchor - l1.anchor
+    return (bi.u * diff.v - bi.v * diff.u) / (bi.u * bj.v - bi.v * bj.u)
+
+
+def same_orbit_reference(l1, l2) -> bool:
+    return lattice_member(SQRT3 * perp_component(l1, l2), LatticeId.HALF_G)
+
+
+def orbit_witness(l1, l2) -> PlanePoint:
+    """A translation t in (1/sqrt 3)Z[x] with l2.anchor - l1.anchor - t
+    parallel to the common direction.  Only exists when same_orbit holds."""
+    if not same_orbit(l1, l2):
+        raise ValueError("lines are in different orbits")
+    i = l1.direction % 6
+    c_p = perp_component(l1, l2)
+    w = SQRT3 * c_p * 2  # in G by the membership test
+    mu = QuadRat(Fraction(w.p, 2), Fraction(w.q, 6))
+    t = pt_scale_mul(xpow(i), mu) + pt_scale_mul(xpow((i + 3) % 6), c_p)
+    if not in_delta0(t):
+        raise AssertionError("witness fell outside the lattice")
+    return t
 
 
 # ---------------------------------------------------------------- reduction
@@ -134,7 +183,7 @@ def test_perp_component_rejects_direction_mismatch():
     l1 = SingularLine(0, ORIGIN)
     l2 = SingularLine(1, ORIGIN)
     with pytest.raises(ValueError, match="directions"):
-        perp_component(l1, l2)
+        same_orbit(l1, l2)
 
 
 # ---------------------------------------------------------------- merge laws
@@ -205,6 +254,7 @@ def test_same_orbit_is_equivalence_on_candidates():
                 assert same_orbit(a, a)
                 for b in group:
                     assert same_orbit(a, b) == same_orbit(b, a)
+                    assert same_orbit(a, b) == same_orbit_reference(a, b)
                     for c in group:
                         if same_orbit(a, b) and same_orbit(b, c):
                             assert same_orbit(a, c)
@@ -233,7 +283,7 @@ def test_lattice_translate_invariance():
         t = ORIGIN
         for j in range(1, 7):
             t = t + pt_scale_mul(f_vector(j), QuadRat(rnd.randrange(-3, 4)))
-        assert lattice_contains(t, TransLattice.DELTA0)
+        assert in_delta0(t)
         shifted = SingularLine(d, b.anchor + t)
         assert same_orbit(b, shifted)
         assert same_orbit(a, b) == same_orbit(a, shifted)
@@ -259,7 +309,7 @@ def _check_witness_pair(a, b, d):
     found = 0
     if same_orbit(a, b):
         w = orbit_witness(a, b)
-        assert lattice_contains(w, TransLattice.DELTA0)
+        assert in_delta0(w)
         residue = SingularLine(d, a.anchor + w)
         assert perp_component(residue, b) == QuadRat(0)
         found += 1

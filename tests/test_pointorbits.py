@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from tilecohom.accept import lead_anchor, predicted_keys
+from tilecohom.accept import class_lists_match, lead_anchor, predicted_keys
 from tilecohom.cyclotomic import pt_scale_mul, xpow
 from tilecohom.exactfield import QuadRat
+from tilecohom.homalg import beta_matrix, smith
 from tilecohom.lineorbits import (
     SingularLine,
     candidate_lines,
+    common_modulus,
     orbit_partition,
     reduce_gamma,
 )
 from tilecohom.pointorbits import (
+    OFFSET_MODULUS,
     build_tables,
     coset_set,
     global_key,
@@ -108,14 +111,71 @@ WORKED_CASES = [
 ]
 
 
+def offset_values(d):
+    n = OFFSET_MODULUS
+    return tuple(q(Fraction(a, n), Fraction(b, n)) for a, b in coset_set(d).offsets)
+
+
 def test_coset_sets_pinned():
-    assert coset_set(1).offsets == (q(0),)
-    assert coset_set(5).offsets == (q(0),)
-    assert set(coset_set(2).offsets) == set(A3)
-    assert set(coset_set(4).offsets) == set(A3)
-    assert set(coset_set(3).offsets) == set(A4)
+    assert offset_values(1) == (q(0),)
+    assert offset_values(5) == (q(0),)
+    assert set(offset_values(2)) == set(A3)
+    assert set(offset_values(4)) == set(A3)
+    assert set(offset_values(3)) == set(A4)
     for d in range(1, 6):
         assert coset_set(d).index == d
+
+
+def first_component(k, d):
+    """c with x^k = c*x^0 + c'*x^d, by Cramer's rule over Q(sqrt 3)."""
+    p, b = xpow(k), xpow(d)
+    return (p.u * b.v - p.v * b.u) / b.v  # det(x^0, x^d) = b.v
+
+
+def test_offset_subgroup_index_by_smith():
+    # The offsets form H/G with H = G + <first components of 1, x, x^2, x^3
+    # in the basis (x^0, x^d)>.  Scaled by 6 every generator is an int pair,
+    # so [H : G] = [6H : 6G] = 36 / [Z^2 : 6H], and [Z^2 : 6H] is the
+    # product of the Smith factors of the generator rows; no closure needed.
+    for d, size in zip(range(1, 6), (1, 3, 4, 3, 1)):
+        rows = [(6, 0), (0, 6)]
+        for k in range(4):
+            c = first_component(k, d) * q(6)
+            assert c.p.denominator == 1 and c.q.denominator == 1
+            rows.append((int(c.p), int(c.q)))
+        factors = smith(rows).factors
+        assert all(factors)
+        index = 36 // (factors[0] * factors[1])
+        assert index * factors[0] * factors[1] == 36
+        assert index == size == len(coset_set(d).offsets)
+
+
+def test_smith_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    def sympy_factors(rows):
+        form = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        return tuple(abs(int(form[i, i])) for i in range(min(form.shape)))
+
+    matrices = [beta_matrix()]
+    rnd = random.Random(61)
+    for _ in range(30):
+        m, n = rnd.randint(4, 6), rnd.randint(4, 6)
+        if rnd.random() < 0.5:
+            rows = [[rnd.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        else:
+            # a product through a narrow middle, scaled: rank deficit and
+            # nontrivial invariant factors
+            r = rnd.randint(1, min(m, n) - 1)
+            scale = rnd.choice((1, 2, 3, 6))
+            left = [[rnd.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+            right = [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+            rows = [[scale * sum(left[i][k] * right[k][j] for k in range(r))
+                     for j in range(n)] for i in range(m)]
+        matrices.append(rows)
+    for rows in matrices:
+        assert smith(rows).factors == sympy_factors(rows), rows
 
 
 def test_coset_set_rejects_out_of_range():
@@ -133,13 +193,14 @@ def test_lambda_classes_parallel_never_cross():
 
 def test_lambda_classes_enumerate_translate_cosets():
     rnd = random.Random(17)
-    alpha = SingularLine(0, pt_scale_mul(xpow(1), q(rnd_fraction(rnd))))
+    line = SingularLine(0, pt_scale_mul(xpow(1), q(rnd_fraction(rnd))))
     for d in range(1, 6):
         beta = SingularLine(d, pt_scale_mul(xpow(d + 1), q(rnd_fraction(rnd))))
+        alpha, beta = common_modulus((line, beta))
         classes = lambda_classes(alpha, beta)
         assert len(classes) == len(coset_set(d).offsets)
-        assert len({rep.value for rep in classes}) == len(classes)
-        keys = {global_key(alpha, rep) for rep in classes}
+        assert len(set(classes)) == len(classes)
+        keys = {global_key(alpha, lam) for lam in classes}
         assert len(keys) == len(classes)
 
 
@@ -214,3 +275,43 @@ def test_representative_choice_invariance():
         assert sorted((t.n, t.parity, t.by_p) for t in redone.types) == sorted(
             (t.n, t.parity, t.by_p) for t in base.types
         )
+
+
+def _q3(a, b):
+    return QuadRat(Fraction(a), Fraction(b))
+
+
+#: Shifts whose denominators stress the int kernel: parts above 10^30 and
+#: 10^200, and rational parts over 2, 3, 4, 6, 9, 12 and 36, where the factor
+#: 6 of the modulus has to clear the sqrt(3)/3 and 1/2 offsets on its own.
+STRESS_GAMMAS = [
+    (_q3(Fraction(12345, 10**31 + 3), Fraction(7, 10**33 + 9)),
+     _q3(Fraction(1, 10**30 + 11), Fraction(-2, 10**32 + 17))),
+    (_q3(Fraction(10**200, 3 * 10**200 + 7), Fraction(1, 10**201 + 1)),
+     _q3(Fraction(-5, 10**202 + 3), Fraction(10**199, 10**200 + 9))),
+    (_q3(Fraction(1, 2), 0), _q3(Fraction(1, 3), 0)),
+    (_q3(Fraction(1, 4), 0), _q3(Fraction(1, 6), 0)),
+    (_q3(Fraction(1, 9), 0), _q3(Fraction(5, 12), 0)),
+    (_q3(Fraction(5, 36), 0), _q3(Fraction(-7, 36), 0)),
+    (_q3(Fraction(1, 2), Fraction(1, 3)), _q3(Fraction(1, 4), Fraction(1, 6))),
+    (_q3(Fraction(5, 36), Fraction(1, 9)), _q3(Fraction(1, 12), Fraction(7, 36))),
+    (_q3(Fraction(1, 6), Fraction(1, 2)), _q3(Fraction(2, 9), Fraction(1, 4))),
+    (_q3(0, Fraction(1, 12)), _q3(Fraction(1, 36), Fraction(1, 36))),
+]
+
+
+def test_kernel_at_stress_denominators():
+    rnd = random.Random(101)
+    for raw in STRESS_GAMMAS:
+        gamma = reduce_gamma(raw)
+        assert class_lists_match(gamma) == []
+        lines = candidate_lines(gamma)
+        base = build_tables(orbit_partition(lines))
+        summary = (base.L0, base.L0_by_p, base.e, base.sum_L0alpha)
+        for _ in range(2):
+            shuffled = list(lines)
+            rnd.shuffle(shuffled)
+            redone = build_tables(orbit_partition(shuffled))
+            assert (redone.L0, redone.L0_by_p, redone.e, redone.sum_L0alpha) == summary
+            assert sorted(e.by_p for e in redone.per_orbit) == sorted(
+                e.by_p for e in base.per_orbit)

@@ -6,8 +6,17 @@ from itertools import product
 
 import pytest
 
-from tilecohom.cyclotomic import ORIGIN, PlanePoint, decompose, f_vector, pt_scale_mul, xpow
-from tilecohom.exactfield import ZERO, QuadRat
+from tilecohom.cyclotomic import (
+    PlanePoint,
+    decode,
+    decompose,
+    encode,
+    f_vector,
+    modulus,
+    pt_scale_mul,
+    xpow,
+)
+from tilecohom.exactfield import INV_SQRT3, QuadRat
 from tilecohom.lineorbits import (
     GammaParam,
     SingularLine,
@@ -19,7 +28,9 @@ from tilecohom.lineorbits import (
 from tilecohom.window import (
     CODE_STEP,
     DELTAS,
-    F_VECS,
+    EDGE_NORM_SQ,
+    WINDOW_MODULUS,
+    _pair_and_extra,
     build_window,
     canonical_anchor,
     corner_fpart,
@@ -27,13 +38,15 @@ from tilecohom.window import (
     code_axis,
     code_fsign,
     convex_hull,
-    cut_line_forms,
     edge_vector,
     enumerate_cubes,
     norm_sq,
     slice_detailed,
     verify_counts,
 )
+
+
+ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
 
 
 def fsum(*indices):
@@ -75,12 +88,24 @@ def test_verify_counts_report():
     assert report["boundary_facets_independent"] is True
 
 
+def quadrat_norm_sq(p: PlanePoint) -> QuadRat:
+    """Squared length of u + v*x; the basis vectors meet at 30 degrees."""
+    return p.u * p.u + p.v * p.v + QuadRat(0, 1) * p.u * p.v
+
+
+def fperp(corner) -> PlanePoint:
+    return decode(corner_fperp(corner), WINDOW_MODULUS)
+
+
 def test_edge_lengths_uniform():
     third = QuadRat(Fraction(1, 3))
+    assert EDGE_NORM_SQ == (3, 0)  # 1/3 over 3^2
     for cube in enumerate_cubes():
         for edge in cube.edges():
             a, b = edge
-            assert norm_sq(corner_fperp(a) - corner_fperp(b)) == third
+            assert quadrat_norm_sq(fperp(a) - fperp(b)) == third
+            diff = tuple(x - y for x, y in zip(corner_fperp(a), corner_fperp(b)))
+            assert norm_sq(diff) == EDGE_NORM_SQ
 
 
 def test_code_chart_matches_generators():
@@ -90,7 +115,7 @@ def test_code_chart_matches_generators():
         vec = f_vector(j + 1)
         if sign < 0:
             vec = pt_scale_mul(vec, QuadRat(-1))
-        assert edge_vector(k) == vec
+        assert decode(edge_vector(k), WINDOW_MODULUS) == vec
         step = (sign * DELTAS[j][0], sign * DELTAS[j][1])
         axis = code_axis(k)
         assert step[1 - axis] == 0
@@ -145,10 +170,10 @@ def test_hull_recovery_from_shuffled_corners():
     rnd = random.Random(7)
     win = build_window()
     for cell in win.cells.values():
-        pts = list(cell.hull)
+        pts = [encode(p, WINDOW_MODULUS) for p in cell.hull]
         for _ in range(4):
             rnd.shuffle(pts)
-            hull = convex_hull(pts)
+            hull = [decode(p, WINDOW_MODULUS) for p in convex_hull(pts)]
             assert set(hull) == set(cell.hull)
             assert len(hull) == len(cell.hull)
 
@@ -292,11 +317,15 @@ def test_canonical_anchor_kills_direction_component():
             QuadRat(rnd_fraction(rnd), rnd_fraction(rnd)),
             QuadRat(rnd_fraction(rnd), rnd_fraction(rnd)),
         )
-        anchor = canonical_anchor(d, pt)
-        along, _ = decompose(anchor, d, (d + 3) % 6)
-        assert along == ZERO
         shift = pt + pt_scale_mul(xpow(d), QuadRat(rnd_fraction(rnd), rnd_fraction(rnd)))
-        assert canonical_anchor(d, shift) == anchor
+        n = modulus(pt.u, pt.v, shift.u, shift.v)
+        anchor = canonical_anchor(d, encode(pt, n))
+        along_p, along_q, _, _ = decompose(anchor, d, (d + 3) % 6)
+        assert (along_p, along_q) == (0, 0)
+        assert canonical_anchor(d, encode(shift, n)) == anchor
+        # the dropped part is parallel to x^d: the anchor moves along the line
+        moved = pt - decode(anchor, n)
+        assert moved.u * xpow(d).v - moved.v * xpow(d).u == QuadRat(0)
 
 
 def _orbit_equivalent_linesets(lines_a, lines_b):
@@ -309,6 +338,49 @@ def _orbit_equivalent_linesets(lines_a, lines_b):
         if not any(a.direction == b.direction and same_orbit(a, b) for a in lines_a):
             return False
     return True
+
+
+def cut_line_forms(gamma):
+    """Closed form of the line each cut cube produces, one (direction, anchor)
+    pair per cut family.
+
+    For a standard cube the plane-height fractions attach to the signed pair
+    and extra edge vectors, so up to translations by the base-plane lattice
+    (and sliding along the direction) the cut line is a function of the code
+    data alone.  The sign of each term follows the edge's own plane-shift
+    step; the 12 standard cubes whose two steps disagree in sign contribute
+    mixed-sign forms that a uniform-sign compilation would miss.  Long cubes
+    only meet the planes when the transverse gamma component vanishes; their
+    polygon sides then follow the paired edge vector of each facet.  Every
+    line from slice_detailed() is base-lattice-equivalent to one of these
+    forms and conversely, which is what the cross-check test asserts.
+    """
+    def edge(code):
+        return pt_scale_mul(xpow(code), INV_SQRT3)
+
+    out = []
+    for cube in enumerate_cubes():
+        if cube.kind == "long":
+            axis = code_axis(cube.codes[0])
+            if gamma[1 - axis].sign() != 0:
+                continue
+            for m in cube.codes:
+                a, b = [c for c in cube.codes if c != m]
+                if (b - a) % 12 != 4:
+                    a, b = b, a
+                anchor = pt_scale_mul(edge(b), gamma[axis])
+                if code_fsign(b) < 0:
+                    anchor = -anchor
+                out.append(((a + 5) % 6, anchor))
+        else:
+            a, _, extra = _pair_and_extra(cube.codes)
+            pair_term = pt_scale_mul(edge(a), gamma[code_axis(a)])
+            extra_term = pt_scale_mul(edge(extra), gamma[code_axis(extra)])
+            anchor = (pair_term if code_fsign(a) > 0 else -pair_term) + (
+                extra_term if code_fsign(extra) > 0 else -extra_term
+            )
+            out.append(((a + 5) % 6, anchor))
+    return out
 
 
 def test_slice_matches_per_cube_closed_forms():
@@ -354,8 +426,7 @@ def test_generic_orbit_count_vs_candidate_list():
     mixed_ids = {
         c.ident for c in cubes.values()
         if c.kind == "isolated" and len({code_fsign(k) for k in c.codes}) > 1}
-    line_sources = {(l.direction, canonical_anchor(l.direction, l.anchor)): l.sources
-                    for l in lines}
+    line_sources = {(l.direction, l.anchor): l.sources for l in lines}
     for orbit in slice_orbits.orbits:
         matched = any(
             c.direction == orbit.representative.direction
@@ -363,8 +434,7 @@ def test_generic_orbit_count_vs_candidate_list():
             for c in cands)
         sources = set()
         for member in orbit.members:
-            key = (member.direction, canonical_anchor(member.direction, member.anchor))
-            sources |= {ident for ident, _ in line_sources[key]}
+            sources |= {ident for ident, _ in line_sources[(member.direction, member.anchor)]}
         if matched:
             assert sources - mixed_ids, orbit.representative
         else:
