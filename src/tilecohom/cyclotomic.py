@@ -109,7 +109,8 @@ def format_point(p: PlanePoint) -> str:
 # has every entry divisible by 6, so the chart of a basis (x^i, x^j), whose
 # (1, x)-determinant is 1, sqrt 3 or 2 up to sign, divides it exactly.  The
 # stages are affine in gamma: their ints are multiplied only by the small
-# constants of the x^k, never by each other, and stay a few times n.
+# constants of the x^k, never by each other, and stay a few times n; only
+# qsign squares an int, to decide a sign.
 
 
 def modulus(*values: QuadRat) -> int:

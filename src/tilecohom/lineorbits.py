@@ -2,8 +2,8 @@
 
 A line is held as the int point sqrt(3)*anchor over the modulus of its op
 (see cyclotomic).  Within a fixed direction x^i two lines are compared by the
-(1, x)-determinant of x^i and their scaled anchor difference, which is twice
-the x^(i+3) component: only the perpendicular offset matters.  same_orbit
+(1, x)-determinant of x^i and their scaled anchor difference, which is plus
+or minus twice its x^(i+3) component: only the perpendicular offset matters.  same_orbit
 quotients by the projected total lattice (1/sqrt 3)Z[x], the translation
 group that the orbit counts L1 refer to.
 """
@@ -29,11 +29,6 @@ class GammaParam:
 
     def pair(self):
         return (self.g1, self.g2)
-
-    @property
-    def modulus(self) -> int:
-        """The modulus N = 6*D of the op; D is the lcm of the four denominators."""
-        return modulus(self.g1, self.g2)
 
 
 def reduce_gamma(raw) -> GammaParam:
@@ -107,11 +102,12 @@ def candidate_lines(gamma: GammaParam):
 
     The anchors are (x^lead*g + x^(i+1)*h)/sqrt 3 and their negatives, with
     (g, h) = (g1, g2) in the even directions and (g2, g1) in the odd ones;
-    the lines hold them scaled by sqrt 3, over the modulus of gamma.
-    Coincident duplicates (possible when a component of gamma vanishes) are
-    kept; the orbit partition absorbs them.
+    the lines hold them scaled by sqrt 3, over the modulus 6*D of gamma, D
+    the lcm of its four denominators.  Coincident duplicates (possible when
+    a component of gamma vanishes) are kept; the orbit partition absorbs
+    them.
     """
-    n = gamma.modulus
+    n = modulus(gamma.g1, gamma.g2)
     g1, g2 = scalar(gamma.g1, n), scalar(gamma.g2, n)
     out = []
     for i in (0, 2, 4, 1, 3, 5):
