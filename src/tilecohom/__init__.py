@@ -1,7 +1,6 @@
 """Exact cohomology rank reports for the generalized 12-fold cut-and-project tilings."""
 
 from .exactfield import (
-    CosetRep,
     LatticeId,
     ParseError,
     QuadRat,
@@ -14,7 +13,6 @@ from .exactfield import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CosetRep",
     "LatticeId",
     "ParseError",
     "QuadRat",

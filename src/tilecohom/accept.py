@@ -15,7 +15,6 @@ from .exactfield import LatticeId, QuadRat, lattice_member, mod_canon
 from .cyclotomic import pt_scale_mul, xpow
 from .homalg import rank_and_cokernel, smith, beta_matrix
 from .lineorbits import (
-    SingularLine,
     candidate_lines,
     orbit_partition,
     reduce_gamma,
@@ -115,6 +114,7 @@ def predicted_keys(gamma, i, lead, sign):
     anchor = lead_anchor(gamma, i, lead)
     if sign < 0:
         anchor = -anchor
+    scaled, step = pt_scale_mul(anchor, _SQRT3), xpow(i)
     keys = set()
     for (c1, c2), offsets in CROSS_CLASS_LISTS[lead]:
         base = c1 * gamma.g1 + c2 * gamma.g2
@@ -122,9 +122,20 @@ def predicted_keys(gamma, i, lead, sign):
             lam = _SQRT3 * base + off
             if sign < 0:
                 lam = -lam
-            point = pt_scale_mul(anchor, _SQRT3) + pt_scale_mul(xpow(i), lam)
-            keys.add((mod_canon(point.u).value, mod_canon(point.v).value))
+            point = scaled + pt_scale_mul(step, lam)
+            keys.add((mod_canon(point.u), mod_canon(point.v)))
     return keys
+
+
+def closed_form_lines(gamma) -> list[tuple[tuple, int, int]]:
+    """The 24 closed-form candidates as ((direction, anchor), lead, sign)."""
+    out = []
+    for i in range(6):
+        for lead in ((0, 2) if i % 2 == 0 else (4, 6)):
+            anchor = lead_anchor(gamma, i, lead)
+            out.append(((i, anchor), lead, 1))
+            out.append(((i, -anchor), lead, -1))
+    return out
 
 
 def class_lists_match(gamma) -> list[str]:
@@ -132,21 +143,19 @@ def class_lists_match(gamma) -> list[str]:
 
     Returns failure descriptions; an orbit merged from several candidates is
     checked against the union of its members' instantiated lists.
+    Membership compares (direction, anchor) pairs: the closed-form anchor
+    against each member's decoded one.
     """
     failures = []
     orbits = orbit_partition(candidate_lines(gamma))
     tables = build_tables(orbits)
+    closed = closed_form_lines(gamma)
     for idx, orbit in enumerate(orbits.orbits):
-        members = set(orbit.members)
+        members = {(line.direction, line.anchor) for line in orbit.members}
         union = set()
-        for i in range(6):
-            for lead in ((0, 2) if i % 2 == 0 else (4, 6)):
-                for sign in (1, -1):
-                    anchor = lead_anchor(gamma, i, lead)
-                    if sign < 0:
-                        anchor = -anchor
-                    if SingularLine(i, anchor) in members:
-                        union |= predicted_keys(gamma, i, lead, sign)
+        for line, lead, sign in closed:
+            if line in members:
+                union |= predicted_keys(gamma, line[0], lead, sign)
         engine = {
             (gc.canon.u, gc.canon.v)
             for gc in tables.points

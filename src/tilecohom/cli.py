@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .cyclotomic import decode
 from .exactfield import ParseError, format_quadrat
 from .homalg import beta_matrix, rank_and_cokernel, smith
 from .lineorbits import candidate_lines, orbit_partition, reduce_gamma
@@ -18,7 +19,7 @@ from .report import (
     render,
     table_lines,
 )
-from .window import build_window, enumerate_cubes, verify_counts
+from .window import WINDOW_MODULUS, build_window, enumerate_cubes, verify_counts
 
 #: The keys of the report payload that `tables --json` prints.
 TABLES_KEYS = ("schema", "gamma", "line_types", "L0_by_p", "L0", "sum_L0alpha")
@@ -122,6 +123,11 @@ def _cmd_smith(args):
     ]), 0
 
 
+def _vertex_row(fpart, t):
+    p = decode(t, WINDOW_MODULUS)
+    return [*fpart, format_quadrat(p.u), format_quadrat(p.v)]
+
+
 def _cmd_verify_window(args):
     result = verify_counts()
     code = 0 if result["ok"] else 3
@@ -135,10 +141,7 @@ def _cmd_verify_window(args):
                                   result["valency_histogram"].items()},
             "cubes_per_vertex": {str(k): v for k, v in
                                  result["cubes_per_vertex"].items()},
-            "vertices": sorted(
-                [[fp[0], fp[1], format_quadrat(p.u), format_quadrat(p.v)]
-                 for fp, p in window.vertex_set]
-            ),
+            "vertices": sorted(_vertex_row(fp, t) for fp, t in window.points),
             "cubes": [
                 {"ident": c.ident, "kind": c.kind, "base": list(c.base),
                  "codes": list(c.codes)}

@@ -15,12 +15,11 @@ fixed int matrix, and reduction mod Z[x] is `% n`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactfield import INV_SQRT3, QuadRat, SQRT3, format_quadrat
+from .exactfield import INV_SQRT3, QuadRat, SQRT3
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,6 @@ class PlanePoint:
 
     def __bool__(self) -> bool:
         return bool(self.u) or bool(self.v)
-
-    def __str__(self) -> str:
-        return format_point(self)
 
 
 # (u, v) rows for x^0 .. x^5; the second half of the twelve powers is the
@@ -75,26 +71,6 @@ def f_vector(i: int) -> PlanePoint:
     if not 1 <= i <= 6:
         raise ValueError(f"f index {i} out of range 1..6")
     return pt_scale_mul(xpow(5 * (i - 1)), INV_SQRT3)
-
-
-
-
-def format_point(p: PlanePoint) -> str:
-    if not p.v:
-        return format_quadrat(p.u)
-    vs = format_quadrat(p.v)
-    if vs == "1":
-        tail = "x"
-    elif vs == "-1":
-        tail = "-x"
-    elif vs.startswith("-") or "+" in vs[1:] or "-" in vs[1:]:
-        tail = f"({vs})·x"
-    else:
-        tail = f"{vs}·x"
-    if not p.u:
-        return tail
-    joiner = "" if tail.startswith("-") else "+"
-    return f"{format_quadrat(p.u)}{joiner}{tail}"
 
 
 # -- integer coordinates -----------------------------------------------------------
@@ -218,15 +194,8 @@ def decompose(t, i: int, j: int) -> tuple[int, int, int, int]:
     return tuple(x // k for x in out)
 
 
-class TransLattice(Enum):
-    DELTA0 = "delta0"
-    ZX = "zx"
-
-
-def lattice_contains(t, n: int, lattice: TransLattice) -> bool:
-    """Membership of the int point t over n in Z[x], or in DELTA0 = (1/sqrt 3)Z[x]."""
-    if lattice is TransLattice.DELTA0:
-        t = times_sqrt3(t)
+def lattice_contains(t, n: int) -> bool:
+    """Membership of the int point t over n in Z[x]."""
     return all(c % n == 0 for c in t)
 
 

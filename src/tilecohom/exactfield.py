@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
@@ -172,10 +171,8 @@ def _coerce(value: object) -> "QuadRat | None":
     return None
 
 
-ZERO = QuadRat(0)
 ONE = QuadRat(1)
 SQRT3 = QuadRat(0, 1)
-HALF = QuadRat(Fraction(1, 2))
 INV_SQRT3 = QuadRat(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
 
 
@@ -206,28 +203,17 @@ def lattice_member(a: QuadRat, lattice: LatticeId) -> bool:
     return scaled.p.denominator == 1 and scaled.q.denominator == 1
 
 
-@dataclass(frozen=True)
-class CosetRep:
-    """Canonical representative of a coset modulo one of the four lattices."""
-
-    value: QuadRat
-    modulus: LatticeId
-
-
 def _frac_part(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def mod_canon(a: QuadRat, lattice: LatticeId = LatticeId.G) -> CosetRep:
-    """Canonical coset representative: rescale, take both fractional parts, unscale.
+def mod_canon(a: QuadRat) -> QuadRat:
+    """The reduction of a mod G: both coefficients taken into [0, 1).
 
-    mod_canon(a) == mod_canon(b) exactly when a - b lies in the lattice, so
-    coset equality becomes structural equality (hashable, usable as dict key).
+    mod_canon(a) == mod_canon(b) exactly when a - b lies in G, so coset
+    equality becomes structural equality (hashable, usable as dict key).
     """
-    scale = LATTICE_SCALE[lattice]
-    scaled = a * scale
-    reduced = QuadRat(_frac_part(scaled.p), _frac_part(scaled.q))
-    return CosetRep(reduced / scale, lattice)
+    return QuadRat(_frac_part(a.p), _frac_part(a.q))
 
 
 # -- text form -------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Stabilizer groups of the singular directions, the wedge map beta, and
-integer Smith normal form with certified transforms.
+integer Smith normal form with unimodular transforms.
 
 Matrices are plain tuples of tuples of Python ints; sizes here are tiny
 (at most 6x6 in production use) but the routines stay correct for
@@ -163,50 +163,6 @@ def smith(matrix) -> SmithForm:
         tuple(tuple(row) for row in right),
         tuple(tuple(row) for row in a),
     )
-
-
-def mat_mul(x, y):
-    cols = len(y[0])
-    return tuple(
-        tuple(sum(x[r][k] * y[k][c] for k in range(len(y))) for c in range(cols))
-        for r in range(len(x))
-    )
-
-
-def det_int(matrix) -> int:
-    """Integer determinant via fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def verify_smith(matrix, form: SmithForm) -> bool:
-    """Check left*matrix*right equals the diagonal and transforms are unimodular."""
-    if mat_mul(mat_mul(form.left, tuple(tuple(r) for r in matrix)), form.right) != form.diagonal:
-        return False
-    if abs(det_int(form.left)) != 1 or abs(det_int(form.right)) != 1:
-        return False
-    nonzero = [f for f in form.factors if f]
-    for i in range(len(nonzero) - 1):
-        if nonzero[i + 1] % nonzero[i]:
-            return False
-    return all(f >= 0 for f in form.factors)
 
 
 def kernel_basis(matrix):

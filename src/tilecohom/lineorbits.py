@@ -11,9 +11,9 @@ group that the orbit counts L1 refer to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from typing import NamedTuple
 
-from .cyclotomic import PlanePoint, cross, decode, encode, modulus, scalar, times_sqrt3, xscale, XPOW
+from .cyclotomic import PlanePoint, cross, decode, modulus, scalar, times_sqrt3, xscale, XPOW
 from .exactfield import QuadRat
 
 
@@ -36,65 +36,20 @@ def reduce_gamma(raw) -> GammaParam:
     return GammaParam(g1 - QuadRat(g1.floor()), g2 - QuadRat(g2.floor()))
 
 
-class SingularLine:
+class SingularLine(NamedTuple):
     """The line anchor + R*x^direction, for a direction in 0..5.
 
-    Held as `point`, the int point sqrt(3)*anchor over `modulus`; `anchor`
-    is decoded on first use.  Two lines are equal when their directions and
-    anchors are, whatever their moduli.
+    Held as `point`, the int point sqrt(3)*anchor over `modulus`, the
+    modulus of its op; `anchor` decodes it.
     """
 
-    __slots__ = ("direction", "point", "modulus", "_anchor")
-
-    def __init__(self, direction: int, anchor: PlanePoint) -> None:
-        n = modulus(anchor.u, anchor.v)
-        self.direction = direction
-        self.point = times_sqrt3(encode(anchor, n))
-        self.modulus = n
-        self._anchor = anchor
-
-    @classmethod
-    def from_point(cls, direction: int, point, n: int) -> "SingularLine":
-        """The line whose scaled anchor is the int point `point` over n."""
-        line = cls.__new__(cls)
-        line.direction, line.point, line.modulus, line._anchor = direction, point, n, None
-        return line
+    direction: int
+    point: tuple[int, int, int, int]
+    modulus: int
 
     @property
     def anchor(self) -> PlanePoint:
-        if self._anchor is None:
-            self._anchor = decode(times_sqrt3(self.point), 3 * self.modulus)
-        return self._anchor
-
-    def over(self, n: int) -> "SingularLine":
-        """The same line over n, a multiple of its modulus."""
-        if n == self.modulus:
-            return self
-        factor = n // self.modulus
-        line = SingularLine.from_point(self.direction, tuple(c * factor for c in self.point), n)
-        line._anchor = self._anchor
-        return line
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SingularLine):
-            return NotImplemented
-        if self.direction != other.direction:
-            return False
-        if self.modulus == other.modulus:
-            return self.point == other.point
-        return self.anchor == other.anchor
-
-    def __hash__(self) -> int:
-        return hash((self.direction, self.anchor))
-
-    def __repr__(self) -> str:
-        return f"SingularLine({self.direction}, {self.anchor})"
-
-
-def common_modulus(lines) -> list[SingularLine]:
-    """The lines over the lcm of their moduli."""
-    n = lcm(*(line.modulus for line in lines))
-    return [line.over(n) for line in lines]
+        return decode(times_sqrt3(self.point), 3 * self.modulus)
 
 
 def candidate_lines(gamma: GammaParam):
@@ -109,6 +64,9 @@ def candidate_lines(gamma: GammaParam):
     """
     n = modulus(gamma.g1, gamma.g2)
     g1, g2 = scalar(gamma.g1, n), scalar(gamma.g2, n)
+    # tuple.__new__ skips the argument-binding frame of the generated
+    # NamedTuple constructor, which makes a record cost more than a tuple
+    new = tuple.__new__
     out = []
     for i in (0, 2, 4, 1, 3, 5):
         g, h = (g1, g2) if i % 2 == 0 else (g2, g1)
@@ -116,8 +74,8 @@ def candidate_lines(gamma: GammaParam):
         for lead in ((i, i + 2) if i % 2 == 0 else (i + 4, i + 6)):
             lead_term = xscale(lead, *g)
             point = tuple(a + b for a, b in zip(lead_term, side))
-            out.append(SingularLine.from_point(i, point, n))
-            out.append(SingularLine.from_point(i, tuple(-c for c in point), n))
+            out.append(new(SingularLine, (i, point, n)))
+            out.append(new(SingularLine, (i, tuple(-c for c in point), n)))
     return out
 
 
@@ -125,16 +83,17 @@ def same_orbit(l1, l2) -> bool:
     """Equivalence modulo the projected total lattice (1/sqrt 3)Z[x].
 
     sqrt(3) times the x^(i+3) component of the anchor difference must lie in
-    (1/2)G; on the scaled anchors that is cross(x^i, difference) in G.
+    (1/2)G; on the scaled anchors that is cross(x^i, difference) in G.  Both
+    lines must share one modulus.
     """
-    i = l1.direction % 6
-    if l2.direction % 6 != i:
+    i = l1.direction
+    if l2.direction != i:
         raise ValueError(
             f"cannot compare lines of directions {l1.direction} and {l2.direction}"
         )
-    if l1.modulus != l2.modulus:
-        l1, l2 = common_modulus((l1, l2))
     n = l1.modulus
+    if l2.modulus != n:
+        raise ValueError(f"lines over the moduli {n} and {l2.modulus}")
     diff = tuple(b - a for a, b in zip(l1.point, l2.point))
     p, q = cross(XPOW[i], diff)
     return p % n == 0 and q % n == 0
@@ -147,7 +106,7 @@ class LineOrbit:
 
     @property
     def direction(self):
-        return self.representative.direction % 6
+        return self.representative.direction
 
 
 @dataclass(frozen=True)
@@ -165,7 +124,7 @@ class LineOrbitSet:
         return counts
 
     def orbits_for(self, direction):
-        return tuple(o for o in self.orbits if o.direction == direction % 6)
+        return tuple(o for o in self.orbits if o.direction == direction)
 
 
 def orbit_partition(lines, test=same_orbit) -> LineOrbitSet:
@@ -177,7 +136,7 @@ def orbit_partition(lines, test=same_orbit) -> LineOrbitSet:
     for line in lines:
         for cls in classes:
             rep = cls[0]
-            if rep.direction % 6 == line.direction % 6 and test(rep, line):
+            if rep.direction == line.direction and test(rep, line):
                 cls.append(line)
                 break
         else:

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cyclotomic import PlanePoint, decode, decompose, encode, xpow, xscale
-from .lineorbits import LineOrbitSet, SingularLine, common_modulus
+from .cyclotomic import XPOW, PlanePoint, decode, decompose, xscale
+from .lineorbits import LineOrbitSet, SingularLine
 
 #: Multiplicity range for 0-singularities: at least two lines cross, at most
 #: one per direction.
@@ -63,7 +63,7 @@ def coset_set(d: int) -> CosetSet:
     if d not in (1, 2, 3, 4, 5):
         raise ValueError(f"basis offset {d} out of range 1..5")
     n = OFFSET_MODULUS
-    gens = [decompose(encode(xpow(k), n), 0, d)[:2] for k in range(4)]
+    gens = [decompose(tuple(n * c for c in XPOW[k]), 0, d)[:2] for k in range(4)]
     classes = {(0, 0)}
     frontier = list(classes)
     while frontier:
@@ -182,10 +182,10 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     and each must be claimed exactly once per incident orbit — that is the
     double-counting identity L0 = sum_p (sum_alpha L0_p^alpha) / p in
     per-class form.  Everything runs on the int points of the
-    representatives, over one common modulus.
+    representatives, which share the modulus of their op.
     """
-    reps = common_modulus([orbit.representative for orbit in orbits.orbits])
-    directions = [line.direction % 6 for line in reps]
+    reps = [orbit.representative for orbit in orbits.orbits]
+    directions = [line.direction for line in reps]
     per_orbit = []
     global_incidence: dict[tuple[int, int, int, int], dict] = {}
     for ia, alpha in enumerate(reps):

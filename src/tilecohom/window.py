@@ -12,8 +12,8 @@ build_window, enumerate_cubes and verify_counts work over the modulus 3.  A
 slice works over the modulus of its gamma, 6*D, which makes the heights of
 the cutting planes, the cut anchors and their canonical forms exact ints.
 Every orientation, sign and range test is an int comparison (qsign).  QuadRat
-appears only where a result is handed out: Window.vertex_set, PlaneCell.hull
-and SlicedLine.anchor, each decoded once.
+appears only where a result is handed out: SlicedLine.anchor, decoded once
+per line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import cmp_to_key, lru_cache
 from .cyclotomic import (
     XPOW,
     PlanePoint,
-    TransLattice,
     cross,
     decode,
     decompose,
@@ -130,18 +129,13 @@ class PlaneCell:
     fpart: tuple[int, int]
     kind: str  # "point", "triangle" or "hexagon"
     corners: tuple  # all 6-cube corners projecting here
-    hull: tuple  # hull vertices (PlanePoints) in cyclic order
+    hull: tuple  # hull vertices, int points over WINDOW_MODULUS, in cyclic order
 
 
 @dataclass(frozen=True)
 class Window:
     cells: dict
-    vertex_set: frozenset  # {(fpart, fperp)}, fperp a PlanePoint
     points: frozenset  # {(fpart, fperp)}, fperp an int point over WINDOW_MODULUS
-
-    @property
-    def vertex_count(self):
-        return len(self.vertex_set)
 
 
 _CELL_KIND = {1: "point", 3: "triangle", 9: "hexagon"}
@@ -164,8 +158,7 @@ def build_window() -> Window:
             raise AssertionError(
                 f"plane {fpart}: hull size {len(hull)}, expected {_HULL_SIZE[kind]}"
             )
-        decoded = tuple(decode(p, WINDOW_MODULUS) for p in hull)
-        cells[fpart] = PlaneCell(fpart, kind, tuple(corners), decoded)
+        cells[fpart] = PlaneCell(fpart, kind, tuple(corners), hull)
         for p in hull:
             points.add((fpart, p))
     kinds = [c.kind for c in cells.values()]
@@ -177,8 +170,7 @@ def build_window() -> Window:
         and len(points) == 52
     ):
         raise AssertionError("window cell census failed")
-    vertex_set = frozenset((fp, decode(p, WINDOW_MODULUS)) for fp, p in points)
-    return Window(cells, vertex_set, frozenset(points))
+    return Window(cells, frozenset(points))
 
 
 # -- the 40 cubes ------------------------------------------------------------------
@@ -479,7 +471,7 @@ def _plane_preserving_sublattice_report():
     contained = True
     for vec in kernel:
         p = tuple(sum(n * f[k] for n, f in zip(vec, F_VECS)) for k in range(4))
-        if not lattice_contains(p, WINDOW_MODULUS, TransLattice.ZX):
+        if not lattice_contains(p, WINDOW_MODULUS):
             contained = False
         coords.append([c // WINDOW_MODULUS for c in delta0_coords(p)])
     factors = homalg.smith(coords).factors

@@ -6,14 +6,12 @@ import pytest
 from tilecohom.exactfield import INV_SQRT3, QuadRat, SQRT3
 from tilecohom.cyclotomic import (
     PlanePoint,
-    TransLattice,
     cross,
     decode,
     decompose,
     delta0_coords,
     encode,
     f_vector,
-    format_point,
     lattice_contains,
     modulus,
     pt_scale_mul,
@@ -43,9 +41,15 @@ def pt_mul(a, b):
     return PlanePoint(a.u * b.u - cross_term, a.u * b.v + a.v * b.u + SQRT3 * cross_term)
 
 
-def contains(p, lattice):
+def in_zx(p):
     n = modulus(p.u, p.v)
-    return lattice_contains(encode(p, n), n, lattice)
+    return lattice_contains(encode(p, n), n)
+
+
+def in_delta0(p):
+    """p in DELTA0 = (1/sqrt 3)Z[x], that is sqrt(3)*p in Z[x]."""
+    n = modulus(p.u, p.v)
+    return lattice_contains(times_sqrt3(encode(p, n)), n)
 
 
 def chart(p, i, j):
@@ -118,12 +122,10 @@ def test_xpow_multiplicative():
 
 
 def test_lattice_contains_examples():
-    assert contains(PlanePoint(SQRT3, QuadRat(-1)), TransLattice.ZX)
-    assert contains(f_vector(1), TransLattice.DELTA0)
-    assert not contains(f_vector(1), TransLattice.ZX)
-    assert not contains(
-        PlanePoint(QuadRat(0), QuadRat(Fraction(1, 2))), TransLattice.DELTA0
-    )
+    assert in_zx(PlanePoint(SQRT3, QuadRat(-1)))
+    assert in_delta0(f_vector(1))
+    assert not in_zx(f_vector(1))
+    assert not in_delta0(PlanePoint(QuadRat(0), QuadRat(Fraction(1, 2))))
 
 
 def test_zx_inside_delta0():
@@ -133,8 +135,8 @@ def test_zx_inside_delta0():
             QuadRat(rng.randint(-9, 9), rng.randint(-9, 9)),
             QuadRat(rng.randint(-9, 9), rng.randint(-9, 9)),
         )
-        assert contains(p, TransLattice.ZX)
-        assert contains(p, TransLattice.DELTA0)
+        assert in_zx(p)
+        assert in_delta0(p)
 
 
 def test_decompose_chart():
@@ -178,7 +180,7 @@ def test_delta0_coords_are_f_basis_coords():
         n = modulus(p.u, p.v)
         assert tuple(Fraction(c, n) for c in delta0_coords(encode(p, n))) == tuple(
             Fraction(c) for c in coeffs)
-        assert contains(p, TransLattice.DELTA0)
+        assert in_delta0(p)
 
 
 def test_congruence_class_generators():
@@ -200,7 +202,7 @@ def test_congruence_kernel_is_zx():
         for f in fs:
             p = p + pt_scale_mul(f, QuadRat(rng.randint(-6, 6)))
         in_kernel = congruence_class(p) == (0, 0)
-        assert in_kernel == contains(p, TransLattice.ZX)
+        assert in_kernel == in_zx(p)
 
 
 def test_congruence_additive():
@@ -230,14 +232,6 @@ def test_direction_class_span():
             assert span == frozenset({(0, 0), (1, 0), (2, 0)})
         else:
             assert span == frozenset({(0, 0), (0, 1), (0, 2)})
-
-
-def test_format_point():
-    assert format_point(xpow(0)) == "1"
-    assert format_point(xpow(1)) == "x"
-    assert format_point(xpow(2)) == "-1+√3·x"
-    assert format_point(ORIGIN) == "0"
-    assert format_point(PlanePoint(QuadRat(0), QuadRat(Fraction(1, 2)))) == "1/2·x"
 
 
 # ---------------------------------------------------------------- int coordinates

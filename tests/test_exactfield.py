@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from tilecohom.exactfield import (
-    CosetRep,
     LatticeId,
     ParseError,
     QuadRat,
@@ -94,15 +93,17 @@ def test_lattice_membership_examples():
 
 
 def test_mod_canon_examples():
-    rep = mod_canon(QuadRat(Fraction(5, 2), Fraction(7, 3)), G)
-    assert rep == CosetRep(QuadRat(Fraction(1, 2), Fraction(1, 3)), G)
+    rep = mod_canon(QuadRat(Fraction(5, 2), Fraction(7, 3)))
+    assert rep == QuadRat(Fraction(1, 2), Fraction(1, 3))
 
-    two_thirds_root = mod_canon(QuadRat(0, Fraction(2, 3)), G)
-    one_third_root = mod_canon(QuadRat(0, Fraction(1, 3)), G)
-    assert two_thirds_root.value == QuadRat(0, Fraction(2, 3))
+    two_thirds_root = mod_canon(QuadRat(0, Fraction(2, 3)))
+    one_third_root = mod_canon(QuadRat(0, Fraction(1, 3)))
+    assert two_thirds_root == QuadRat(0, Fraction(2, 3))
     assert two_thirds_root != one_third_root
 
-    assert mod_canon(QuadRat(0, 1), INV_SQRT3_G).value == QuadRat(0)
+    assert mod_canon(QuadRat(0, 1)) == QuadRat(0)
+    assert mod_canon(QuadRat(Fraction(-1, 4), Fraction(-5, 3))) == QuadRat(
+        Fraction(3, 4), Fraction(1, 3))
 
 
 def test_field_axioms_on_random_triples():
@@ -150,16 +151,16 @@ def test_floor_definition_on_random_values():
 
 def test_mod_canon_idempotent_and_coset_correct():
     rng = random.Random(404)
-    for lattice in LatticeId:
-        g1, g2 = LATTICE_BASES[lattice]
-        assert lattice_member(g1, lattice) and lattice_member(g2, lattice)
-        for _ in range(100):
-            a = rnd_quadrat(rng)
-            rep = mod_canon(a, lattice)
-            assert mod_canon(rep.value, lattice) == rep
-            shift = g1 * rng.randint(-5, 5) + g2 * rng.randint(-5, 5)
-            assert mod_canon(a + shift, lattice) == rep
-            assert lattice_member(a - rep.value, lattice)
+    g1, g2 = LATTICE_BASES[G]
+    assert lattice_member(g1, G) and lattice_member(g2, G)
+    for _ in range(400):
+        a = rnd_quadrat(rng)
+        rep = mod_canon(a)
+        assert mod_canon(rep) == rep
+        assert 0 <= rep.p < 1 and 0 <= rep.q < 1
+        shift = g1 * rng.randint(-5, 5) + g2 * rng.randint(-5, 5)
+        assert mod_canon(a + shift) == rep
+        assert lattice_member(a - rep, G)
 
 
 def test_containment_table():

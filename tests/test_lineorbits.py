@@ -7,12 +7,12 @@ import pytest
 
 from tilecohom.cyclotomic import (
     PlanePoint,
-    TransLattice,
     encode,
     f_vector,
     lattice_contains,
     modulus,
     pt_scale_mul,
+    times_sqrt3,
     xpow,
 )
 from tilecohom.exactfield import INV_SQRT3, SQRT3, LatticeId, QuadRat, lattice_member
@@ -24,6 +24,8 @@ from tilecohom.lineorbits import (
     reduce_gamma,
     same_orbit,
 )
+
+from line_helper import lines_over
 
 # orbit counts attainable by the candidate partition
 L1_VALUES = frozenset({6, 9, 12, 15, 18, 21, 24})
@@ -53,9 +55,8 @@ def even_pair(gamma, i):
     c1 = gamma.g1 * INV_SQRT3
     c2 = gamma.g2 * INV_SQRT3
     side = pt_scale_mul(xpow(i + 1), c2)
-    a = SingularLine(i, pt_scale_mul(xpow(i), c1) + side)
-    b = SingularLine(i, pt_scale_mul(xpow(i + 2), c1) + side)
-    return a, b
+    return lines_over([(i, pt_scale_mul(xpow(i), c1) + side),
+                       (i, pt_scale_mul(xpow(i + 2), c1) + side)])
 
 
 def odd_pair(gamma, i):
@@ -63,18 +64,19 @@ def odd_pair(gamma, i):
     c1 = gamma.g1 * INV_SQRT3
     c2 = gamma.g2 * INV_SQRT3
     side = pt_scale_mul(xpow(i + 1), c1)
-    a = SingularLine(i, pt_scale_mul(xpow(i + 4), c2) + side)
-    b = SingularLine(i, pt_scale_mul(xpow(i + 6), c2) + side)
-    return a, b
+    return lines_over([(i, pt_scale_mul(xpow(i + 4), c2) + side),
+                       (i, pt_scale_mul(xpow(i + 6), c2) + side)])
 
 
 def negated(line):
-    return SingularLine(line.direction, -line.anchor)
+    """The line through -anchor, over the same modulus."""
+    return SingularLine(line.direction, tuple(-c for c in line.point), line.modulus)
 
 
 def in_delta0(p):
+    """p in DELTA0 = (1/sqrt 3)Z[x], that is sqrt(3)*p in Z[x]."""
     n = modulus(p.u, p.v)
-    return lattice_contains(encode(p, n), n, TransLattice.DELTA0)
+    return lattice_contains(times_sqrt3(encode(p, n)), n)
 
 
 def perp_component(l1, l2) -> QuadRat:
@@ -170,7 +172,7 @@ def test_candidates_on_axis_coincidences():
     # origin.
     t = qr(Fraction(1, 5))
     gamma = GammaParam(qr(0), t)
-    origin = {i: SingularLine(i, ORIGIN) for i in range(6)}
+    origin = dict(enumerate(lines_over((i, ORIGIN) for i in range(6))))
     for i in (1, 3, 5):
         a, b = odd_pair(gamma, i)
         assert perp_component(b, origin[i]) == QuadRat(0)
@@ -180,10 +182,13 @@ def test_candidates_on_axis_coincidences():
 
 
 def test_perp_component_rejects_direction_mismatch():
-    l1 = SingularLine(0, ORIGIN)
-    l2 = SingularLine(1, ORIGIN)
+    l1, l2 = lines_over([(0, ORIGIN), (1, ORIGIN)])
     with pytest.raises(ValueError, match="directions"):
         same_orbit(l1, l2)
+    # lines over two moduli are not brought to a common one
+    [l3] = lines_over([(0, ORIGIN)], n=2 * l1.modulus)
+    with pytest.raises(ValueError, match="moduli"):
+        same_orbit(l1, l3)
 
 
 # ---------------------------------------------------------------- merge laws
@@ -268,7 +273,8 @@ def test_regauging_invariance():
         group = [c for c in candidate_lines(gamma) if c.direction == d]
         a, b = rnd.sample(group, 2)
         mu = QuadRat(rnd_fraction(rnd), rnd_fraction(rnd))
-        shifted = SingularLine(d, b.anchor + pt_scale_mul(xpow(d), mu))
+        a, b, shifted = lines_over([(d, a.anchor), (d, b.anchor),
+                                    (d, b.anchor + pt_scale_mul(xpow(d), mu))])
         assert same_orbit(a, b) == same_orbit(a, shifted)
         assert perp_component(a, b) == perp_component(a, shifted)
 
@@ -284,7 +290,7 @@ def test_lattice_translate_invariance():
         for j in range(1, 7):
             t = t + pt_scale_mul(f_vector(j), QuadRat(rnd.randrange(-3, 4)))
         assert in_delta0(t)
-        shifted = SingularLine(d, b.anchor + t)
+        a, b, shifted = lines_over([(d, a.anchor), (d, b.anchor), (d, b.anchor + t)])
         assert same_orbit(b, shifted)
         assert same_orbit(a, b) == same_orbit(a, shifted)
 
@@ -310,7 +316,7 @@ def _check_witness_pair(a, b, d):
     if same_orbit(a, b):
         w = orbit_witness(a, b)
         assert in_delta0(w)
-        residue = SingularLine(d, a.anchor + w)
+        [residue] = lines_over([(d, a.anchor + w)])
         assert perp_component(residue, b) == QuadRat(0)
         found += 1
     else:

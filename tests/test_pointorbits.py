@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tilecohom.accept import class_lists_match, lead_anchor, predicted_keys
+from tilecohom.accept import class_lists_match, closed_form_lines
 from tilecohom.cyclotomic import pt_scale_mul, xpow
 from tilecohom.exactfield import QuadRat
 from tilecohom.homalg import beta_matrix, smith
 from tilecohom.lineorbits import (
-    SingularLine,
     candidate_lines,
-    common_modulus,
     orbit_partition,
     reduce_gamma,
 )
@@ -23,6 +21,8 @@ from tilecohom.pointorbits import (
     global_key,
     lambda_classes,
 )
+
+from line_helper import lines_over
 
 
 def q(a, b=0):
@@ -54,30 +54,16 @@ def engine_keys(tables, orbit_index):
 
 
 def orbit_class_lists_match(gamma):
-    """Check every orbit's engine classes against the closed-form lists.
-
-    An orbit may hold several candidates (merged at special gamma); its
-    class set is then the union of the members' instantiated lists.
-    """
+    """Check every orbit's engine classes against the closed-form lists
+    (accept.class_lists_match), and that every orbit holds a closed-form
+    candidate and counts each of its classes once."""
+    assert class_lists_match(gamma) == []
     orbits = orbit_partition(candidate_lines(gamma))
     tables = build_tables(orbits)
+    closed = {line for line, _, _ in closed_form_lines(gamma)}
     for idx, orbit in enumerate(orbits.orbits):
-        members = set(orbit.members)
-        union = set()
-        hits = 0
-        for i in range(6):
-            for lead in ((0, 2) if i % 2 == 0 else (4, 6)):
-                for sign in (1, -1):
-                    anchor = lead_anchor(gamma, i, lead)
-                    if sign < 0:
-                        anchor = -anchor
-                    if SingularLine(i, anchor) in members:
-                        hits += 1
-                        union |= predicted_keys(gamma, i, lead, sign)
-        assert hits >= 1
-        got = engine_keys(tables, idx)
-        assert union == got
-        assert tables.per_orbit[idx].total == len(got)
+        assert any((m.direction, m.anchor) in closed for m in orbit.members)
+        assert tables.per_orbit[idx].total == len(engine_keys(tables, idx))
     return orbits, tables
 
 
@@ -185,18 +171,17 @@ def test_coset_set_rejects_out_of_range():
 
 
 def test_lambda_classes_parallel_never_cross():
-    a = SingularLine(2, xpow(0))
-    b = SingularLine(2, xpow(1))
+    a, b = lines_over([(2, xpow(0)), (2, xpow(1))])
     with pytest.raises(ValueError, match="never cross"):
         lambda_classes(a, b)
 
 
 def test_lambda_classes_enumerate_translate_cosets():
     rnd = random.Random(17)
-    line = SingularLine(0, pt_scale_mul(xpow(1), q(rnd_fraction(rnd))))
+    anchor = pt_scale_mul(xpow(1), q(rnd_fraction(rnd)))
     for d in range(1, 6):
-        beta = SingularLine(d, pt_scale_mul(xpow(d + 1), q(rnd_fraction(rnd))))
-        alpha, beta = common_modulus((line, beta))
+        alpha, beta = lines_over([
+            (0, anchor), (d, pt_scale_mul(xpow(d + 1), q(rnd_fraction(rnd))))])
         classes = lambda_classes(alpha, beta)
         assert len(classes) == len(coset_set(d).offsets)
         assert len(set(classes)) == len(classes)

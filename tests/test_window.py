@@ -19,7 +19,6 @@ from tilecohom.cyclotomic import (
 from tilecohom.exactfield import INV_SQRT3, QuadRat
 from tilecohom.lineorbits import (
     GammaParam,
-    SingularLine,
     candidate_lines,
     orbit_partition,
     reduce_gamma,
@@ -44,6 +43,8 @@ from tilecohom.window import (
     slice_detailed,
     verify_counts,
 )
+
+from line_helper import lines_over
 
 
 ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
@@ -137,27 +138,27 @@ def test_cell_census():
     assert {fp for fp, k in kinds.items() if k == "hexagon"} == {
         (0, 0), (0, 1), (1, 0), (1, 1)}
     assert sum(1 for k in kinds.values() if k == "triangle") == 8
-    assert win.vertex_count == 52
+    assert len(win.points) == 52
 
 
 def test_corner_point_cell():
     win = build_window()
     cell = win.cells[(-1, -1)]
     assert cell.kind == "point"
-    assert cell.hull == (fsum(3, 4),)
+    assert cell.hull == (encode(fsum(3, 4), WINDOW_MODULUS),)
 
 
 def test_hexagon_hull_cycle():
     win = build_window()
     hull = win.cells[(0, 0)].hull
-    expected = (
+    expected = tuple(encode(p, WINDOW_MODULUS) for p in (
         fsum(2, 4),
         fsum(4, 6),
         fsum(1, 3, 4, 6),
         fsum(1, 3),
         fsum(5, 3),
         fsum(2, 3, 4, 5),
-    )
+    ))
     assert len(hull) == 6
     assert set(hull) == set(expected)
     # Same cyclic order up to rotation and reflection.
@@ -170,10 +171,10 @@ def test_hull_recovery_from_shuffled_corners():
     rnd = random.Random(7)
     win = build_window()
     for cell in win.cells.values():
-        pts = [encode(p, WINDOW_MODULUS) for p in cell.hull]
+        pts = list(cell.hull)
         for _ in range(4):
             rnd.shuffle(pts)
-            hull = [decode(p, WINDOW_MODULUS) for p in convex_hull(pts)]
+            hull = convex_hull(pts)
             assert set(hull) == set(cell.hull)
             assert len(hull) == len(cell.hull)
 
@@ -285,14 +286,14 @@ def test_axis_gamma_odd_direction_orbits():
     for d in (1, 3, 5):
         raw = [l for l in lines if l.direction == d]
         assert len(raw) == 6
-        sung = [SingularLine(l.direction, l.anchor) for l in raw]
+        sung = lines_over([(l.direction, l.anchor) for l in raw] + [
+            (d, ORIGIN),
+            (d, pt_scale_mul(xpow(d + 4), coeff)),
+            (d, pt_scale_mul(xpow(d + 4), -coeff)),
+        ])
+        sung, targets = sung[:6], sung[6:]
         orbits = orbit_partition(sung, test=same_orbit).orbits
         assert len(orbits) == 3
-        targets = [
-            SingularLine(d, ORIGIN),
-            SingularLine(d, pt_scale_mul(xpow(d + 4), coeff)),
-            SingularLine(d, pt_scale_mul(xpow(d + 4), -coeff)),
-        ]
         for t in targets:
             assert sum(1 for o in orbits if same_orbit(o.representative, t)) == 1
 
@@ -306,7 +307,7 @@ def test_zero_gamma_slice():
         counts[l.direction] = counts.get(l.direction, 0) + 1
     assert counts == {d: 4 for d in range(6)}
     for l in lines:
-        assert same_orbit(SingularLine(l.direction, l.anchor), SingularLine(l.direction, ORIGIN))
+        assert same_orbit(*lines_over([(l.direction, l.anchor), (l.direction, ORIGIN)]))
 
 
 def test_canonical_anchor_kills_direction_component():
@@ -403,8 +404,9 @@ def test_slice_matches_per_cube_closed_forms():
         samples.append((g.g1, g.g2))
     for raw in samples:
         gamma = reduce_gamma(raw).pair()
-        sliced = [SingularLine(l.direction, l.anchor) for l in slice_detailed(gamma)[0]]
-        forms = [SingularLine(d, a) for d, a in cut_line_forms(gamma)]
+        sliced = [(l.direction, l.anchor) for l in slice_detailed(gamma)[0]]
+        lines = lines_over(sliced + cut_line_forms(gamma))
+        sliced, forms = lines[:len(sliced)], lines[len(sliced):]
         assert _orbit_equivalent_linesets(sliced, forms), gamma
 
 
@@ -415,10 +417,10 @@ def test_generic_orbit_count_vs_candidate_list():
     gamma = reduce_gamma(
         (QuadRat(Fraction(1, 7), Fraction(1, 11)), QuadRat(Fraction(1, 13), Fraction(1, 17))))
     lines, incidences = slice_detailed(gamma.pair())
-    sung = [SingularLine(l.direction, l.anchor) for l in lines]
+    cands = candidate_lines(gamma)
+    sung = lines_over([(l.direction, l.anchor) for l in lines], n=cands[0].modulus)
     slice_orbits = orbit_partition(sung, test=same_orbit)
     assert len(slice_orbits.orbits) == 18
-    cands = candidate_lines(gamma)
     cand_orbits = orbit_partition(list(cands), test=same_orbit)
     assert len(cand_orbits.orbits) == 24
 
