@@ -11,26 +11,34 @@ Z[x] meets every direction line R*x^k in G*x^k.
 
 Every line already holds its rescaled anchor as an int point over the
 modulus n of its op (see cyclotomic), so the whole stage is int arithmetic:
-a parameter is an int pair over n, a point an int 4-tuple, and reduction
-mod G or mod Z[x] is `% n` on every entry.  The parameter is solved for by
-one fixed int chart per pair of directions, and QuadRat appears only when a
-class key is decoded for display (GlobalClass.canon).
+a point is an int 4-tuple over n, and reduction mod Z[x] is `% n` on every
+entry.  QuadRat appears only when a class key is decoded for display
+(GlobalClass.canon).
 
-The intersections of a fixed line with all translates of another then fall
-into finitely many classes: the translate contributes an offset from a fixed
-finite subgroup of R/G (coset_set below, the {0}/A3/A4 pattern, held as int
-pairs over 6), shifted by the anchor difference.  Multiplicities come from
-which directions claim the same class, and the global count from
-identifying class representatives modulo Z[x].
+The crossings of a line alpha of direction x^i with all translates of a line
+beta of direction x^j fall into finitely many classes: the parameter along
+alpha is the x^i component of the anchor difference in the chart
+(x^i, x^j), shifted by an offset from a fixed finite subgroup of R/G
+(coset_set below, the {0}/A3/A4 pattern, held as int pairs over 6).  A class
+is held by the Z[x] key of its point rather than by its parameter mod G;
+both identify the same classes, because Z[x] meets R*x^i in G*x^i.
+build_tables makes one pass per ordered pair of directions (i, j): it images
+each representative of the two directions once under the pair's chart,
+carried through x^i, gets each crossing as a sum of two images, and adds the
+offsets, scaled to n and multiplied by x^i ahead of time, to land on the
+keys.  Multiplicities come from which directions claim one key on a
+representative, and the global count from the keys the representatives
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
-from .cyclotomic import XPOW, PlanePoint, decode, decompose, xscale
-from .lineorbits import LineOrbitSet, SingularLine
+from .cyclotomic import XPOW, PlanePoint, _chart, decode, decompose, xscale
+from .lineorbits import LineOrbitSet
 
 #: Multiplicity range for 0-singularities: at least two lines cross, at most
 #: one per direction.
@@ -38,6 +46,10 @@ P_MIN, P_MAX = 2, 6
 
 #: Modulus of the coset_set offsets, which lie in (1/6)G.
 OFFSET_MODULUS = 6
+
+#: A class claim on a representative is one int: bit j for each direction
+#: x^j that claims the class, and bit 6 + b for each claiming orbit b.
+_DIRECTION_BITS = (1 << 6) - 1
 
 
 class ConsistencyError(RuntimeError):
@@ -79,46 +91,7 @@ def coset_set(d: int) -> CosetSet:
     return CosetSet(d, tuple(sorted(classes)))
 
 
-def lambda_classes(alpha: SingularLine, beta: SingularLine) -> list[tuple[int, int]]:
-    """Classes mod G of the parameters where translates of beta cross alpha.
-
-    The crossing equation alpha.anchor + lam*x^i = beta.anchor + mu*x^j + t
-    with t in Z[x], scaled by sqrt 3, is solved for lam in the basis
-    (x^i, x^j): the scaled anchor difference contributes its first component,
-    the translate one of the coset_set offsets.  Both lines must share one
-    modulus n; the classes are int pairs over n in [0, n), sorted.
-    """
-    d = (beta.direction - alpha.direction) % 6
-    if d == 0:
-        raise ValueError(
-            f"parallel directions x^{alpha.direction} and x^{beta.direction}"
-            " never cross"
-        )
-    n = alpha.modulus
-    if beta.modulus != n:
-        raise ValueError(f"lines over the moduli {n} and {beta.modulus}")
-    diff = tuple(b - a for a, b in zip(alpha.point, beta.point))
-    p, q, _, _ = decompose(diff, alpha.direction, beta.direction)
-    step = n // OFFSET_MODULUS
-    return sorted(((p + op * step) % n, (q + oq * step) % n)
-                  for op, oq in coset_set(d).offsets)
-
-
-def global_key(alpha: SingularLine, lam: tuple[int, int]) -> tuple[int, int, int, int]:
-    """Z[x]-coset key of the point at scaled parameter lam on alpha.
-
-    The point is sqrt(3)*alpha.anchor + lam*x^i over alpha's modulus n;
-    reducing each entry mod n is exactly reduction mod Z[x] = G + G*x, and
-    the key does not depend on which class representative lam is because
-    G*x^k is contained in Z[x].
-    """
-    n = alpha.modulus
-    step = xscale(alpha.direction, *lam)
-    return tuple((a + b) % n for a, b in zip(alpha.point, step))
-
-
-@dataclass(frozen=True)
-class GlobalClass:
+class GlobalClass(NamedTuple):
     """One orbit of 0-singularities, keyed by its Z[x]-coset over a modulus."""
 
     key: tuple[int, int, int, int]
@@ -126,7 +99,7 @@ class GlobalClass:
     p: int
     incident_orbits: tuple[int, ...]
 
-    @cached_property
+    @property
     def canon(self) -> PlanePoint:
         """The canonical coset representative, with coordinates in [0, 1)."""
         return decode(self.key, self.modulus)
@@ -175,61 +148,73 @@ class IntersectionTables:
 def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     """Count point orbits per line orbit and globally, with consistency checks.
 
-    For each orbit representative alpha the classes of crossings with every
-    other orbit are collected mod G; distinct orbits of one direction always
-    claim disjoint classes (their offset cosets differ), which the code
-    verifies rather than assumes.  Global classes are then keyed mod Z[x],
-    and each must be claimed exactly once per incident orbit — that is the
-    double-counting identity L0 = sum_p (sum_alpha L0_p^alpha) / p in
-    per-class form.  Everything runs on the int points of the
-    representatives, which share the modulus of their op.
+    One pass per ordered pair of directions (i, j) finds, for every
+    representative alpha of direction i, the classes where translates of the
+    orbits of direction j cross it (_claim_crossings).  Each class is held
+    by its Z[x] key, which identifies the classes of alpha exactly as their
+    parameters mod G do, with the directions and orbits that claim it;
+    distinct orbits of one direction always claim disjoint classes (their
+    offset cosets differ), which the code verifies rather than assumes.
+    Each global class must then be claimed exactly once per incident orbit,
+    with one line set — that is the double-counting identity
+    L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form.  All
+    representatives share the modulus of their op.
     """
     reps = [orbit.representative for orbit in orbits.orbits]
-    directions = [line.direction for line in reps]
+    n = reps[0].modulus if reps else OFFSET_MODULUS
+    by_direction: list[list[int]] = [[] for _ in range(6)]
+    for ia, line in enumerate(reps):
+        if line.modulus != n:
+            raise ValueError(f"lines over the moduli {n} and {line.modulus}")
+        by_direction[line.direction].append(ia)
+    points = [line.point for line in reps]
+    classes: list[dict] = [{} for _ in reps]
+    for i, alphas in enumerate(by_direction):
+        for j, betas in enumerate(by_direction):
+            if j != i and alphas and betas:
+                _claim_crossings(points, n, alphas, betas, i, j, classes)
+
     per_orbit = []
-    global_incidence: dict[tuple[int, int, int, int], dict] = {}
-    for ia, alpha in enumerate(reps):
-        claims: dict[tuple[int, int], list[int]] = {}
-        for ib, beta in enumerate(reps):
-            if directions[ib] == directions[ia]:
-                continue
-            for lam in lambda_classes(alpha, beta):
-                claims.setdefault(lam, []).append(ib)
-        by_p = [0] * (P_MAX - P_MIN + 1)
-        for lam in sorted(claims):
-            incident = claims[lam]
-            if len({directions[ib] for ib in incident}) != len(incident):
-                raise ConsistencyError(
-                    "two orbits of one direction claim the same point class;"
-                    " the line partition is too coarse"
-                )
-            p = 1 + len(incident)
-            if not P_MIN <= p <= P_MAX:
-                raise ConsistencyError(f"crossing multiplicity {p} out of range")
-            by_p[p - P_MIN] += 1
-            key = global_key(alpha, lam)
-            members = tuple(sorted([ia, *incident]))
-            entry = global_incidence.setdefault(key, {"orbits": members, "claims": 0})
-            if entry["orbits"] != members:
+    # Z[x] key -> (bitmask of the incident orbits, the orbits that claimed it)
+    global_incidence: dict[tuple[int, int, int, int], tuple[int, list[int]]] = {}
+    for ia, claims in enumerate(classes):
+        # by_p[p] counts alpha's classes of multiplicity p; p is at most 7
+        by_p = [0] * 8
+        for key, claim in claims.items():
+            by_p[1 + (claim & _DIRECTION_BITS).bit_count()] += 1
+            members = claim >> 6 | 1 << ia
+            entry = global_incidence.get(key)
+            if entry is None:
+                global_incidence[key] = (members, [ia])
+            elif entry[0] != members:
                 raise ConsistencyError(
                     "one point class reached with two different line sets"
                 )
-            entry["claims"] += 1
-        per_orbit.append(OrbitPointCount(ia, directions[ia], tuple(by_p)))
+            else:
+                entry[1].append(ia)
+        for p, count in enumerate(by_p):
+            if count and not P_MIN <= p <= P_MAX:
+                raise ConsistencyError(f"crossing multiplicity {p} out of range")
+        by_p = tuple(by_p[P_MIN:P_MAX + 1])
+        per_orbit.append(OrbitPointCount(ia, reps[ia].direction, by_p))
 
-    n = reps[0].modulus if reps else OFFSET_MODULUS
-    points = []
+    # tuple.__new__ skips the argument-binding frame of the generated
+    # NamedTuple constructor, as in lineorbits.candidate_lines
+    new = tuple.__new__
+    global_classes = []
     l0_by_p = [0] * (P_MAX - P_MIN + 1)
     for key in sorted(global_incidence):
-        entry = global_incidence[key]
-        p = len(entry["orbits"])
-        if entry["claims"] != p:
+        members, claimers = global_incidence[key]
+        p = members.bit_count()
+        if len(claimers) != p:
             raise ConsistencyError(
-                f"point class claimed {entry['claims']} times by {p} incident"
+                f"point class claimed {len(claimers)} times by {p} incident"
                 " orbits; double counting broken"
             )
         l0_by_p[p - P_MIN] += 1
-        points.append(GlobalClass(key, n, p, entry["orbits"]))
+        # every claimer is a member, each claims once, and they came in
+        # ascending order: with p of them they are the members, sorted
+        global_classes.append(new(GlobalClass, (key, n, p, tuple(claimers))))
 
     for p in range(P_MIN, P_MAX + 1):
         on_lines = sum(entry.by_p[p - P_MIN] for entry in per_orbit)
@@ -239,16 +224,87 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 f" not {p} * {l0_by_p[p - P_MIN]}"
             )
 
-    l0 = len(points)
+    l0 = len(global_classes)
     tables = IntersectionTables(
         per_orbit=tuple(per_orbit),
         types=_group_types(per_orbit),
-        points=tuple(points),
+        points=tuple(global_classes),
         L0_by_p=tuple(l0_by_p),
         L0=l0,
         e=-l0 + sum(entry.total for entry in per_orbit),
     )
     return tables
+
+
+def _claim_crossings(points, n: int, alphas, betas, i: int, j: int, classes) -> None:
+    """Claim the crossings of the direction-j orbits betas on the direction-i
+    representatives alphas, into classes[alpha]: Z[x] key -> claim bits.
+    points holds each representative's int point over n.
+
+    A translate of beta crosses alpha at sqrt(3)*alpha.anchor + lam*x^i,
+    where lam is the x^i component of the scaled anchor difference in the
+    chart (x^i, x^j), plus an offset from coset_set(j - i).  The chart is
+    linear, so each point is imaged once (_pair_chart) and the crossing of
+    alpha and beta is a sum of their images, divided exactly by the chart's
+    divisor k; the check that k divides every entry of the charted
+    difference, which decompose makes, compares the images' residues mod k.
+    Each offset then costs four adds and four `% n` and lands on the key.
+    Keying alpha's classes by the Z[x] key instead of by lam mod G loses
+    nothing: lam -> key is injective mod G, because Z[x] meets R*x^i in
+    G*x^i.
+    """
+    alpha_side, beta_side, rows, k, steps = _pair_chart(i, j)
+    step = n // OFFSET_MODULUS
+    offsets = [(s0 * step % n, s1 * step % n, s2 * step % n, s3 * step % n)
+               for s0, s1, s2, s3 in steps]
+    crossers = [(1 << j | 1 << 6 + ib, _apply(beta_side, points[ib]),
+                 [x % k for x in _apply(rows, points[ib])]) for ib in betas]
+    for ia in alphas:
+        a0, a1, a2, a3 = _apply(alpha_side, points[ia])
+        residues = [x % k for x in _apply(rows, points[ia])]
+        claims = classes[ia]
+        for bits, (b0, b1, b2, b3), beta_residues in crossers:
+            if beta_residues != residues:
+                raise ValueError(
+                    f"the chart of (x^{i}, x^{j}) needs entries divisible by {k}")
+            u0, u1, u2, u3 = (a0 + b0) // k, (a1 + b1) // k, (a2 + b2) // k, (a3 + b3) // k
+            for o0, o1, o2, o3 in offsets:
+                key = ((u0 + o0) % n, (u1 + o1) % n, (u2 + o2) % n, (u3 + o3) % n)
+                claim = claims.get(key, 0)
+                if claim & bits & _DIRECTION_BITS:
+                    raise ConsistencyError(
+                        "two orbits of one direction claim the same point class;"
+                        " two representatives lie in one orbit"
+                    )
+                claims[key] = claim | bits
+
+
+@lru_cache(maxsize=None)
+def _pair_chart(i: int, j: int):
+    """The chart of (x^i, x^j) composed for _claim_crossings.
+
+    With rows, k = _chart(i, j), the first two rows give k*c_i of a point
+    t = c_i*x^i + c_j*x^j.  Returns the 4x4 int matrices `alpha_side` of
+    t -> k*t - k*c_i*x^i and `beta_side` of t -> k*c_i*x^i, the chart rows
+    when k > 1 (none when every image is divisible), k, and the
+    coset_set(j - i) offsets times x^i, over OFFSET_MODULUS.  For lines alpha
+    and beta, (alpha_side.alpha + beta_side.beta) / k = alpha + lam*x^i with
+    lam the c_i of beta - alpha, exactly when the charted difference is
+    divisible by k.
+    """
+    rows, k = _chart(i, j)
+    columns = [xscale(i, rows[0][c], rows[1][c]) for c in range(4)]
+    beta_side = tuple(tuple(col[r] for col in columns) for r in range(4))
+    alpha_side = tuple(tuple(k * (r == c) - beta_side[r][c] for c in range(4))
+                       for r in range(4))
+    steps = tuple(xscale(i, p, q) for p, q in coset_set((j - i) % 6).offsets)
+    return alpha_side, beta_side, (rows if k > 1 else ()), k, steps
+
+
+def _apply(matrix, point) -> list[int]:
+    """The int matrix applied to the int point."""
+    a, b, c, d = point
+    return [r0 * a + r1 * b + r2 * c + r3 * d for r0, r1, r2, r3 in matrix]
 
 
 def _group_types(per_orbit) -> tuple[LineType, ...]:

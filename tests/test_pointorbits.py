@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,18 +11,20 @@ from tilecohom.cyclotomic import pt_scale_mul, xpow
 from tilecohom.exactfield import QuadRat
 from tilecohom.homalg import beta_matrix, smith
 from tilecohom.lineorbits import (
+    LineOrbit,
+    LineOrbitSet,
     candidate_lines,
     orbit_partition,
     reduce_gamma,
 )
 from tilecohom.pointorbits import (
     OFFSET_MODULUS,
+    ConsistencyError,
     build_tables,
     coset_set,
-    global_key,
-    lambda_classes,
 )
 
+from crossing_oracle import global_key, lambda_classes, reference_tables
 from line_helper import lines_over
 
 
@@ -300,3 +303,56 @@ def test_kernel_at_stress_denominators():
             assert (redone.L0, redone.L0_by_p, redone.e, redone.sum_L0alpha) == summary
             assert sorted(e.by_p for e in redone.per_orbit) == sorted(
                 e.by_p for e in base.per_orbit)
+
+
+#: The N = 6 grid: every gamma whose four rational parts lie in (1/6)Z,
+#: reduced into [0, 1) -- 6^4 = 1,296 shifts, covering the degenerate strata
+#: of denominator 2, 3 and 6.
+GRID_6 = [
+    (_q3(Fraction(a, 6), Fraction(b, 6)), _q3(Fraction(c, 6), Fraction(d, 6)))
+    for a, b, c, d in product(range(6), repeat=4)
+]
+
+
+def test_fused_tables_match_the_reference():
+    # the per-pair pass of build_tables against the one-crossing-at-a-time
+    # algorithm it replaced, field for field, at the worked shifts, the
+    # stress denominators and every 9th shift of the N = 6 grid
+    raws = [raw for raw, *_ in WORKED_CASES] + STRESS_GAMMAS + GRID_6[::9]
+    for raw in raws:
+        orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
+        fused, reference = build_tables(orbits), reference_tables(orbits)
+        assert fused.per_orbit == reference.per_orbit, raw
+        assert fused.points == reference.points, raw
+        assert fused.types == reference.types, raw
+        assert fused.L0_by_p == reference.L0_by_p, raw
+        assert (fused.L0, fused.e) == (reference.L0, reference.e), raw
+
+
+def test_too_fine_partition_is_refused():
+    # Every candidate its own orbit: at gamma = 0 the coincident candidates
+    # become two representatives of one orbit, which claim the same classes.
+    lines = candidate_lines(reduce_gamma((q(0), q(0))))
+    with pytest.raises(ConsistencyError, match="two representatives lie in one orbit"):
+        build_tables(orbit_partition(lines, test=lambda a, b: False))
+    # One orbit per direction is too coarse at a generic shift (L1 is 24),
+    # but no check in build_tables can see that: one line per direction
+    # crosses consistently, whichever lines they are.
+    lines = candidate_lines(reduce_gamma(GENERIC_GAMMA))
+    merged = orbit_partition(lines, test=lambda a, b: True)
+    assert merged.L1 == 6
+    assert build_tables(merged).L0 > 0
+
+
+def test_chart_divisibility_is_checked():
+    # A point off the op's lattice: its chart images no longer differ from
+    # the others by multiples of the chart divisor, and both the fused pass
+    # and decompose refuse it.
+    orbits = orbit_partition(candidate_lines(reduce_gamma(GENERIC_GAMMA)))
+    first, *rest = orbits.orbits
+    a, b, c, d = first.representative.point
+    moved = first.representative._replace(point=(a, b, c + 1, d))
+    broken = LineOrbitSet((LineOrbit(moved, (moved,)), *rest))
+    for tables in (build_tables, reference_tables):
+        with pytest.raises(ValueError, match="needs entries divisible by"):
+            tables(broken)

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import tilecohom.report
 from tilecohom.exactfield import ParseError, QuadRat
+from tilecohom.lineorbits import candidate_lines, orbit_partition, reduce_gamma, same_orbit
 from tilecohom.report import compute, parse_gamma, render
 
 
@@ -175,3 +177,33 @@ def test_parse_gamma_names_the_digit_limit():
     for text in ("1" * (limit + 1) + ",0", f"0,1/{'7' * (limit + 1)}√3"):
         with pytest.raises(ParseError, match=f"more than {limit} digits"):
             parse_gamma(text)
+
+
+#: The stages compute() looks up in tilecohom.report when it runs; the
+#: benchmark times each by rebinding its name there (bench/run.py).
+STAGES = ("reduce_gamma", "candidate_lines", "orbit_partition", "build_tables")
+
+
+def test_compute_calls_its_stages_through_report(monkeypatch):
+    called = []
+    for name in STAGES:
+        def stage(*args, _name=name, _run=getattr(tilecohom.report, name), **kwargs):
+            called.append(_name)
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(tilecohom.report, name, stage)
+    report = compute(parse_gamma("1/5,1/7"))
+    assert called == list(STAGES)
+    assert report.L1 == 24
+
+
+def test_orbit_partition_calls_its_test():
+    lines = candidate_lines(reduce_gamma(parse_gamma("1/5,1/7")))
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return same_orbit(a, b)
+
+    assert orbit_partition(lines, test=counted) == orbit_partition(lines)
+    assert calls
