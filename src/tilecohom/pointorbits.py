@@ -168,35 +168,35 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
             raise ValueError(f"lines over the moduli {n} and {line.modulus}")
         by_direction[line.direction].append(ia)
     points = [line.point for line in reps]
-    classes: list[dict] = [{} for _ in reps]
+    per_orbit: list = [None] * len(reps)
+    # Z[x] key -> (bitmask of the incident orbits, the orbits that claimed it)
+    global_incidence: dict[tuple[int, int, int, int], tuple[int, list[int]]] = {}
     for i, alphas in enumerate(by_direction):
+        # Each direction's classes are folded into global_incidence as soon
+        # as its passes are done, so only one direction's keys are held.
+        classes = {ia: {} for ia in alphas}
         for j, betas in enumerate(by_direction):
             if j != i and alphas and betas:
                 _claim_crossings(points, n, alphas, betas, i, j, classes)
-
-    per_orbit = []
-    # Z[x] key -> (bitmask of the incident orbits, the orbits that claimed it)
-    global_incidence: dict[tuple[int, int, int, int], tuple[int, list[int]]] = {}
-    for ia, claims in enumerate(classes):
-        # by_p[p] counts alpha's classes of multiplicity p; p is at most 7
-        by_p = [0] * 8
-        for key, claim in claims.items():
-            by_p[1 + (claim & _DIRECTION_BITS).bit_count()] += 1
-            members = claim >> 6 | 1 << ia
-            entry = global_incidence.get(key)
-            if entry is None:
-                global_incidence[key] = (members, [ia])
-            elif entry[0] != members:
-                raise ConsistencyError(
-                    "one point class reached with two different line sets"
-                )
-            else:
-                entry[1].append(ia)
-        for p, count in enumerate(by_p):
-            if count and not P_MIN <= p <= P_MAX:
-                raise ConsistencyError(f"crossing multiplicity {p} out of range")
-        by_p = tuple(by_p[P_MIN:P_MAX + 1])
-        per_orbit.append(OrbitPointCount(ia, reps[ia].direction, by_p))
+        for ia in alphas:
+            # by_p[p] counts alpha's classes of multiplicity p; p is at most 7
+            by_p = [0] * 8
+            for key, claim in classes[ia].items():
+                by_p[1 + (claim & _DIRECTION_BITS).bit_count()] += 1
+                members = claim >> 6 | 1 << ia
+                entry = global_incidence.get(key)
+                if entry is None:
+                    global_incidence[key] = (members, [ia])
+                elif entry[0] != members:
+                    raise ConsistencyError(
+                        "one point class reached with two different line sets"
+                    )
+                else:
+                    entry[1].append(ia)
+            for p, count in enumerate(by_p):
+                if count and not P_MIN <= p <= P_MAX:
+                    raise ConsistencyError(f"crossing multiplicity {p} out of range")
+            per_orbit[ia] = OrbitPointCount(ia, i, tuple(by_p[P_MIN:P_MAX + 1]))
 
     # tuple.__new__ skips the argument-binding frame of the generated
     # NamedTuple constructor, as in lineorbits.candidate_lines
@@ -212,9 +212,9 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 " orbits; double counting broken"
             )
         l0_by_p[p - P_MIN] += 1
-        # every claimer is a member, each claims once, and they came in
-        # ascending order: with p of them they are the members, sorted
-        global_classes.append(new(GlobalClass, (key, n, p, tuple(claimers))))
+        # every claimer is a member and claims once: with p of them they are
+        # the members
+        global_classes.append(new(GlobalClass, (key, n, p, tuple(sorted(claimers)))))
 
     for p in range(P_MIN, P_MAX + 1):
         on_lines = sum(entry.by_p[p - P_MIN] for entry in per_orbit)
