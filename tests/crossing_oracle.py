@@ -1,11 +1,11 @@
-"""The crossing stage as it was before the per-pair pass, kept as an oracle.
+"""The crossing stage one crossing at a time: the oracle for build_tables.
 
 `lambda_classes` and `global_key` solve one crossing and key one class at a
 time, through `cyclotomic.decompose` on each anchor difference, and
-`reference_tables` is the `build_tables` that was built on them: per
-representative alpha, the classes mod G that every other orbit claims,
-then their Z[x] keys.  `tests/test_pointorbits.py` requires the fused
-`pointorbits.build_tables` to return equal tables.
+`reference_tables` builds the tables on them: per representative alpha, the
+classes mod G that every other orbit claims, then their Z[x] keys.
+`tests/test_pointorbits.py` requires `pointorbits.build_tables`, which makes
+one pass per pair of directions instead, to return equal tables.
 """
 
 from tilecohom.cyclotomic import decompose, xscale

@@ -305,9 +305,8 @@ def test_kernel_at_stress_denominators():
                 e.by_p for e in base.per_orbit)
 
 
-#: The N = 6 grid: every gamma whose four rational parts lie in (1/6)Z,
-#: reduced into [0, 1) -- 6^4 = 1,296 shifts, covering the degenerate strata
-#: of denominator 2, 3 and 6.
+#: The N = 6 grid ((1/6)G)^2 mod G^2: 6^4 = 1,296 shifts, covering the
+#: degenerate strata of denominators 2, 3 and 6.
 GRID_6 = [
     (_q3(Fraction(a, 6), Fraction(b, 6)), _q3(Fraction(c, 6), Fraction(d, 6)))
     for a, b, c, d in product(range(6), repeat=4)
@@ -316,8 +315,8 @@ GRID_6 = [
 
 def test_fused_tables_match_the_reference():
     # the per-pair pass of build_tables against the one-crossing-at-a-time
-    # algorithm it replaced, field for field, at the worked shifts, the
-    # stress denominators and every 9th shift of the N = 6 grid
+    # reference, field for field, at the worked shifts, the stress
+    # denominators and every 9th shift of the N = 6 grid
     raws = [raw for raw, *_ in WORKED_CASES] + STRESS_GAMMAS + GRID_6[::9]
     for raw in raws:
         orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
