@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import LatticeId, QuadRat, lattice_member, mod_canon
+from .exactfield import INV_SQRT3, SQRT3, LatticeId, QuadRat, lattice_member, mod_canon
 from .cyclotomic import pt_scale_mul, xpow
 from .homalg import rank_and_cokernel, smith, beta_matrix
 from .lineorbits import (
@@ -91,16 +91,13 @@ CROSS_CLASS_LISTS = {
     ),
 }
 
-_SQRT3 = _q(0, 1)
-_INV_SQRT3 = _q(0, Fraction(1, 3))
-
 
 def lead_anchor(gamma, i, lead):
     """Positive anchor of the candidate with its lead term on x^(i+lead)."""
     if i % 2 == 0:
-        main, side = gamma.g1 * _INV_SQRT3, gamma.g2 * _INV_SQRT3
+        main, side = gamma.g1 * INV_SQRT3, gamma.g2 * INV_SQRT3
     else:
-        main, side = gamma.g2 * _INV_SQRT3, gamma.g1 * _INV_SQRT3
+        main, side = gamma.g2 * INV_SQRT3, gamma.g1 * INV_SQRT3
     return pt_scale_mul(xpow(i + lead), main) + pt_scale_mul(xpow(i + 1), side)
 
 
@@ -114,12 +111,12 @@ def predicted_keys(gamma, i, lead, sign):
     anchor = lead_anchor(gamma, i, lead)
     if sign < 0:
         anchor = -anchor
-    scaled, step = pt_scale_mul(anchor, _SQRT3), xpow(i)
+    scaled, step = pt_scale_mul(anchor, SQRT3), xpow(i)
     keys = set()
     for (c1, c2), offsets in CROSS_CLASS_LISTS[lead]:
         base = c1 * gamma.g1 + c2 * gamma.g2
         for off in offsets:
-            lam = _SQRT3 * base + off
+            lam = SQRT3 * base + off
             if sign < 0:
                 lam = -lam
             point = scaled + pt_scale_mul(step, lam)
@@ -294,7 +291,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     failures = []
     g1, g2 = _q(0, Fraction(1, 3)), _q(Fraction(1, 3))
-    member = lattice_member(g1 * _q(2) + g2 * _SQRT3, LatticeId.G)
+    member = lattice_member(g1 * _q(2) + g2 * SQRT3, LatticeId.G)
     _expect(failures, "2g1+√3 g2 in G", member, True)
     _expect(failures, "g2 outside (1/(2√3))G",
             lattice_member(g2, LatticeId.INV_2SQRT3_G), False)

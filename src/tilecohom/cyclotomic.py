@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactfield import INV_SQRT3, QuadRat, SQRT3
+from .exactfield import QuadRat, SQRT3
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ def xpow(k: int) -> PlanePoint:
 def pt_scale_mul(p: PlanePoint, s: QuadRat) -> PlanePoint:
     """Multiply by a real scalar from Q(sqrt 3)."""
     return PlanePoint(p.u * s, p.v * s)
-
-
-def f_vector(i: int) -> PlanePoint:
-    """The i-th window edge vector f_i = (1/sqrt 3) x^(5(i-1)), i in 1..6."""
-    if not 1 <= i <= 6:
-        raise ValueError(f"f index {i} out of range 1..6")
-    return pt_scale_mul(xpow(5 * (i - 1)), INV_SQRT3)
 
 
 # -- integer coordinates -----------------------------------------------------------

@@ -158,7 +158,9 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     Each global class must then be claimed exactly once per incident orbit,
     with one line set — that is the double-counting identity
     L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form.  All
-    representatives share the modulus of their op.
+    representatives share the modulus of their op, and, like every point of
+    an op, have all entries divisible by 6; a point that does not lies off
+    the op's lattice and is refused.
     """
     reps = [orbit.representative for orbit in orbits.orbits]
     n = reps[0].modulus if reps else OFFSET_MODULUS
@@ -166,6 +168,9 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     for ia, line in enumerate(reps):
         if line.modulus != n:
             raise ValueError(f"lines over the moduli {n} and {line.modulus}")
+        if any(x % 6 for x in line.point):
+            raise ValueError(f"the crossing kernel needs entries divisible by 6;"
+                             f" orbit {ia} has the point {line.point}")
         by_direction[line.direction].append(ia)
     points = [line.point for line in reps]
     per_orbit: list = [None] * len(reps)
@@ -245,28 +250,23 @@ def _claim_crossings(points, n: int, alphas, betas, i: int, j: int, classes) -> 
     where lam is the x^i component of the scaled anchor difference in the
     chart (x^i, x^j), plus an offset from coset_set(j - i).  The chart is
     linear, so each point is imaged once (_pair_chart) and the crossing of
-    alpha and beta is a sum of their images, divided exactly by the chart's
-    divisor k; the check that k divides every entry of the charted
-    difference, which decompose makes, compares the images' residues mod k.
+    alpha and beta is a sum of their images, divided by the chart's divisor
+    k.  The division is exact: k is 1, 2 or 3, and build_tables has checked
+    that 6 divides every entry of every point.
     Each offset then costs four adds and four `% n` and lands on the key.
     Keying alpha's classes by the Z[x] key instead of by lam mod G loses
     nothing: lam -> key is injective mod G, because Z[x] meets R*x^i in
     G*x^i.
     """
-    alpha_side, beta_side, rows, k, steps = _pair_chart(i, j)
+    alpha_side, beta_side, k, steps = _pair_chart(i, j)
     step = n // OFFSET_MODULUS
     offsets = [(s0 * step % n, s1 * step % n, s2 * step % n, s3 * step % n)
                for s0, s1, s2, s3 in steps]
-    crossers = [(1 << j | 1 << 6 + ib, _apply(beta_side, points[ib]),
-                 [x % k for x in _apply(rows, points[ib])]) for ib in betas]
+    crossers = [(1 << j | 1 << 6 + ib, _apply(beta_side, points[ib])) for ib in betas]
     for ia in alphas:
         a0, a1, a2, a3 = _apply(alpha_side, points[ia])
-        residues = [x % k for x in _apply(rows, points[ia])]
         claims = classes[ia]
-        for bits, (b0, b1, b2, b3), beta_residues in crossers:
-            if beta_residues != residues:
-                raise ValueError(
-                    f"the chart of (x^{i}, x^{j}) needs entries divisible by {k}")
+        for bits, (b0, b1, b2, b3) in crossers:
             u0, u1, u2, u3 = (a0 + b0) // k, (a1 + b1) // k, (a2 + b2) // k, (a3 + b3) // k
             for o0, o1, o2, o3 in offsets:
                 key = ((u0 + o0) % n, (u1 + o1) % n, (u2 + o2) % n, (u3 + o3) % n)
@@ -285,12 +285,10 @@ def _pair_chart(i: int, j: int):
 
     With rows, k = _chart(i, j), the first two rows give k*c_i of a point
     t = c_i*x^i + c_j*x^j.  Returns the 4x4 int matrices `alpha_side` of
-    t -> k*t - k*c_i*x^i and `beta_side` of t -> k*c_i*x^i, the chart rows
-    when k > 1 (none when every image is divisible), k, and the
+    t -> k*t - k*c_i*x^i and `beta_side` of t -> k*c_i*x^i, k, and the
     coset_set(j - i) offsets times x^i, over OFFSET_MODULUS.  For lines alpha
     and beta, (alpha_side.alpha + beta_side.beta) / k = alpha + lam*x^i with
-    lam the c_i of beta - alpha, exactly when the charted difference is
-    divisible by k.
+    lam the c_i of beta - alpha.
     """
     rows, k = _chart(i, j)
     columns = [xscale(i, rows[0][c], rows[1][c]) for c in range(4)]
@@ -298,7 +296,7 @@ def _pair_chart(i: int, j: int):
     alpha_side = tuple(tuple(k * (r == c) - beta_side[r][c] for c in range(4))
                        for r in range(4))
     steps = tuple(xscale(i, p, q) for p, q in coset_set((j - i) % 6).offsets)
-    return alpha_side, beta_side, (rows if k > 1 else ()), k, steps
+    return alpha_side, beta_side, k, steps
 
 
 def _apply(matrix, point) -> list[int]:

@@ -29,8 +29,6 @@ from .cyclotomic import (
     decode,
     decompose,
     delta0_coords,
-    encode,
-    f_vector,
     lattice_contains,
     modulus,
     qmul,
@@ -39,21 +37,13 @@ from .cyclotomic import (
     xscale,
 )
 from . import homalg
+from .lineorbits import reduce_gamma
 
 #: Modulus of the window's own points: their coordinates lie in (1/3)G.
 WINDOW_MODULUS = 3
 
 # plane shifts of the six lattice generators
 DELTAS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1))
-#: f_1..f_6 as int points over WINDOW_MODULUS.
-F_VECS = tuple(encode(f_vector(i), WINDOW_MODULUS) for i in range(1, 7))
-
-# edge code -> (sign, 0-based generator index); code k is the edge vector
-# (1/sqrt 3) x^k, which equals sign * f_(j+1)
-CODE_STEP = {
-    0: (1, 0), 5: (1, 1), 10: (1, 2), 3: (1, 3), 8: (1, 4), 1: (1, 5),
-    6: (-1, 0), 11: (-1, 1), 4: (-1, 2), 9: (-1, 3), 2: (-1, 4), 7: (-1, 5),
-}
 
 
 def edge_vector(code):
@@ -61,14 +51,17 @@ def edge_vector(code):
     return xscale(code, 0, 1)
 
 
-def code_axis(code):
-    """Which plane-shift coordinate the edge moves: 0 for even codes, 1 for odd."""
-    return code % 2
+# The generators are f_(j+1) = (1/sqrt 3) x^(5j), j in 0..5.  Because 5 is its
+# own inverse mod 12, the edge of code k is x^k/sqrt 3 = x^(5m)/sqrt 3 with
+# m = 5k mod 12: +f_(m+1) for m < 6 and -f_(m-5) otherwise.
 
-
-def code_fsign(code):
-    """Sign of the plane-shift step of the edge."""
-    return 1 if code % 4 < 2 else -1
+#: f_1..f_6 as int points over WINDOW_MODULUS.
+F_VECS = tuple(edge_vector(5 * j % 12) for j in range(6))
+#: edge code -> (sign, 0-based generator index j): the edge is sign * f_(j+1).
+CODE_STEP = tuple((1 if 5 * k % 12 < 6 else -1, 5 * k % 6) for k in range(12))
+#: edge code -> (axis, sign): the edge's plane shift sign * DELTAS[j] moves
+#: only that axis, by sign.
+PLANE_STEP = tuple((abs(DELTAS[j][1]), sign * sum(DELTAS[j])) for sign, j in CODE_STEP)
 
 
 def corner_fpart(corner):
@@ -126,9 +119,7 @@ def convex_hull(points):
 
 @dataclass(frozen=True)
 class PlaneCell:
-    fpart: tuple[int, int]
     kind: str  # "point", "triangle" or "hexagon"
-    corners: tuple  # all 6-cube corners projecting here
     hull: tuple  # hull vertices, int points over WINDOW_MODULUS, in cyclic order
 
 
@@ -158,7 +149,7 @@ def build_window() -> Window:
             raise AssertionError(
                 f"plane {fpart}: hull size {len(hull)}, expected {_HULL_SIZE[kind]}"
             )
-        cells[fpart] = PlaneCell(fpart, kind, tuple(corners), hull)
+        cells[fpart] = PlaneCell(kind, hull)
         for p in hull:
             points.add((fpart, p))
     kinds = [c.kind for c in cells.values()]
@@ -209,54 +200,30 @@ class Cube:
     codes: tuple
 
     def corners(self):
+        """The 8 corners; bit k of a corner's index is set when it steps along
+        codes[k]."""
         out = []
-        for picks in itertools.product((0, 1), repeat=3):
+        for m in range(8):
             corner = list(self.base)
-            for takes, code in zip(picks, self.codes):
-                if takes:
+            for k, code in enumerate(self.codes):
+                if m >> k & 1:
                     sign, j = CODE_STEP[code]
                     corner[j] += sign
             out.append(tuple(corner))
         return out
 
-    def edges(self):
-        """The 12 edges, each a frozenset of two corners."""
+    def faces(self, dim):
+        """The faces of dimension dim, each a frozenset of 2**dim corners: for
+        each set `free` of dim codes and each choice `fixed` of steps along
+        the other codes, the corners that differ from `fixed` only in free."""
+        corners = self.corners()
         out = []
-        for vary in range(3):
-            rest = [c for k, c in enumerate(self.codes) if k != vary]
-            for picks in itertools.product((0, 1), repeat=2):
-                ends = []
-                for takes in (0, 1):
-                    corner = list(self.base)
-                    for t, code in zip(picks, rest):
-                        if t:
-                            sign, j = CODE_STEP[code]
-                            corner[j] += sign
-                    if takes:
-                        sign, j = CODE_STEP[self.codes[vary]]
-                        corner[j] += sign
-                    ends.append(tuple(corner))
-                out.append(frozenset(ends))
-        return out
-
-    def faces(self):
-        """The 6 two-dimensional faces, each a frozenset of four corners."""
-        out = []
-        for fixed in range(3):
-            rest = [c for k, c in enumerate(self.codes) if k != fixed]
-            for level in (0, 1):
-                quad = []
-                for picks in itertools.product((0, 1), repeat=2):
-                    corner = list(self.base)
-                    if level:
-                        sign, j = CODE_STEP[self.codes[fixed]]
-                        corner[j] += sign
-                    for t, code in zip(picks, rest):
-                        if t:
-                            sign, j = CODE_STEP[code]
-                            corner[j] += sign
-                    quad.append(tuple(corner))
-                out.append(frozenset(quad))
+        for free in range(8):
+            if free.bit_count() == dim:
+                for fixed in range(8):
+                    if not fixed & free:
+                        out.append(frozenset(
+                            corners[fixed | m] for m in range(8) if m & free == m))
         return out
 
 
@@ -392,8 +359,8 @@ def verify_counts():
     faces = set()
     membership = {}
     for cube in cubes:
-        edges.update(cube.edges())
-        faces.update(cube.faces())
+        edges.update(cube.faces(1))
+        faces.update(cube.faces(2))
         for corner in cube.corners():
             membership[corner] = membership.get(corner, 0) + 1
 
@@ -521,26 +488,33 @@ def _in_closed_unit(s, n: int) -> bool:
     return qsign(p, q) >= 0 and qsign(n - p, -q) >= 0
 
 
-def _pair_and_extra(codes):
-    """Split a standard cube's codes into the same-parity pair (a, a+4 mod 12)
-    and the remaining code."""
-    by_parity = {0: [], 1: []}
-    for c in codes:
-        by_parity[c % 2].append(c)
-    pair = by_parity[0] if len(by_parity[0]) == 2 else by_parity[1]
-    extra = (by_parity[1] if len(by_parity[0]) == 2 else by_parity[0])[0]
-    a, b = pair
+def _aligned_pair(codes, extra):
+    """The two codes other than extra, ordered as (a, a+4 mod 12)."""
+    a, b = [c for c in codes if c != extra]
     if (b - a) % 12 != 4:
         a, b = b, a
     if (b - a) % 12 != 4:
-        raise AssertionError(f"codes {codes} lack an aligned pair")
-    return a, b, extra
+        raise AssertionError(f"codes {codes} lack an aligned pair besides {extra}")
+    return a, b
 
 
-def _height(cube, delta, gamma, n, axis, sign):
-    """Signed height sign * (plane - base plane) along one axis, over n."""
+def _pair_and_extra(codes):
+    """Split a standard cube's codes into the same-parity pair (a, a+4 mod 12)
+    and the remaining code, the one whose parity no other code shares."""
+    parities = [c % 2 for c in codes]
+    extra = next(c for c in codes if parities.count(c % 2) == 1)
+    return (*_aligned_pair(codes, extra), extra)
+
+
+#: The plane translates delta that a slice tries against each cube.
+_TRANSLATES = tuple(itertools.product(range(-1, 3), repeat=2))
+
+
+def _height(plane, delta, gamma, n, axis, sign):
+    """Signed height sign * (plane translate - base plane) along one axis,
+    over n, for a cube whose base corner lies on the plane `plane`."""
     p, q = gamma[axis]
-    return sign * (p + (delta[axis] - corner_fpart(cube.base)[axis]) * n), sign * q
+    return sign * (p + (delta[axis] - plane[axis]) * n), sign * q
 
 
 def _along(code, s):
@@ -563,41 +537,43 @@ def _add(*points):
     return tuple(map(sum, zip(*points)))
 
 
-def _cut_standard(cube, delta, gamma, n):
+def _cut_standard(cube, gamma, n):
+    """(delta, direction, anchor) for each translate delta cutting a
+    standard cube."""
     a, b, extra = _pair_and_extra(cube.codes)
-    s1 = _height(cube, delta, gamma, n, code_axis(a), code_fsign(a))
-    s2 = _height(cube, delta, gamma, n, code_axis(extra), code_fsign(extra))
-    if not (_in_open(s1, 2, n) and _in_closed_unit(s2, n)):
-        return []
-    anchor = _add(_base(cube, n), _along(b, s1), _along(extra, s2))
-    return [((a + 5) % 6, anchor)]
+    plane, base = corner_fpart(cube.base), _base(cube, n)
+    for delta in _TRANSLATES:
+        s1 = _height(plane, delta, gamma, n, *PLANE_STEP[a])
+        s2 = _height(plane, delta, gamma, n, *PLANE_STEP[extra])
+        if _in_open(s1, 2, n) and _in_closed_unit(s2, n):
+            yield delta, (a + 5) % 6, _add(base, _along(b, s1), _along(extra, s2))
 
 
-def _cut_long(cube, delta, gamma, n):
-    axis = code_axis(cube.codes[0])
-    if _height(cube, delta, gamma, n, 1 - axis, 1) != (0, 0):
-        return []
-    s = _height(cube, delta, gamma, n, axis, code_fsign(cube.codes[0]))
-    if not _in_open(s, 3, n):
-        return []
-    out = []
-    for m in cube.codes:
-        others = [c for c in cube.codes if c != m]
-        a, b = others
-        if (b - a) % 12 != 4:
-            a, b = b, a
-        for alpha in (0, 1):
-            r = (s[0] - alpha * n, s[1])
-            if _in_open(r, 2, n):
-                anchor = _add(_base(cube, n), _along(m, (alpha * n, 0)), _along(b, r))
-                out.append(((a + 5) % 6, anchor))
-    return out
+def _cut_long(cube, gamma, n):
+    """(delta, direction, anchor) for each translate delta cutting a long
+    cube, which it meets only in its own plane column or row."""
+    axis, sign = PLANE_STEP[cube.codes[0]]
+    plane, base = corner_fpart(cube.base), _base(cube, n)
+    pairs = [(m, *_aligned_pair(cube.codes, m)) for m in cube.codes]
+    for delta in _TRANSLATES:
+        if _height(plane, delta, gamma, n, 1 - axis, 1) != (0, 0):
+            continue
+        s = _height(plane, delta, gamma, n, axis, sign)
+        if not _in_open(s, 3, n):
+            continue
+        for m, a, b in pairs:
+            for alpha in (0, 1):
+                r = (s[0] - alpha * n, s[1])
+                if _in_open(r, 2, n):
+                    anchor = _add(base, _along(m, (alpha * n, 0)), _along(b, r))
+                    yield delta, (a + 5) % 6, anchor
 
 
 def slice_detailed(gamma):
     """All singular lines cut from the cubes by the shifted plane family.
 
-    gamma must already be reduced into [0,1)^2.  The plane translations act
+    gamma is first reduced into [0,1)^2, as the report does: the planes of
+    gamma and gamma + (m, n) are one family.  The plane translations act
     only on the plane index, never on the in-plane coordinates, so carrying
     every cut to the base plane keeps its anchor as computed; cuts from
     different planes landing on one line merge.  The cuts run on int points
@@ -605,20 +581,17 @@ def slice_detailed(gamma):
     Returns (lines, incidences) where incidences is the set of (cube ident,
     delta) pairs with a nonempty cut.
     """
+    gamma = reduce_gamma(gamma).pair()
     n = modulus(*gamma)
     scaled = (scalar(gamma[0], n), scalar(gamma[1], n))
     found = {}
     incidences = set()
     for cube in enumerate_cubes():
         cut = _cut_long if cube.kind == "long" else _cut_standard
-        for delta in itertools.product(range(-1, 3), repeat=2):
-            segments = cut(cube, delta, scaled, n)
-            if not segments:
-                continue
+        for delta, direction, anchor in cut(cube, scaled, n):
             incidences.add((cube.ident, delta))
-            for direction, anchor in segments:
-                key = (direction, canonical_anchor(direction, anchor))
-                found.setdefault(key, set()).add((cube.ident, delta))
+            key = (direction, canonical_anchor(direction, anchor))
+            found.setdefault(key, set()).add((cube.ident, delta))
     lines = [
         SlicedLine(direction, decode(anchor, n), tuple(sorted(srcs)))
         for (direction, anchor), srcs in sorted(found.items())

@@ -11,7 +11,6 @@ from tilecohom.cyclotomic import (
     decompose,
     delta0_coords,
     encode,
-    f_vector,
     lattice_contains,
     modulus,
     pt_scale_mul,
@@ -20,6 +19,8 @@ from tilecohom.cyclotomic import (
     xpow,
     xscale,
 )
+
+from line_helper import f_vector
 
 
 ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))

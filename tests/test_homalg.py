@@ -2,7 +2,7 @@ import random
 import unittest
 from fractions import Fraction
 
-from tilecohom.cyclotomic import PlanePoint, f_vector, pt_scale_mul
+from tilecohom.cyclotomic import PlanePoint, pt_scale_mul
 from tilecohom.exactfield import QuadRat
 from tilecohom.homalg import (
     SmithForm,
@@ -13,6 +13,8 @@ from tilecohom.homalg import (
     stabilizer_basis,
     wedge,
 )
+
+from line_helper import f_vector
 
 
 def mat_mul(x, y):

@@ -8,7 +8,6 @@ import pytest
 from tilecohom.cyclotomic import (
     PlanePoint,
     encode,
-    f_vector,
     lattice_contains,
     modulus,
     pt_scale_mul,
@@ -25,7 +24,7 @@ from tilecohom.lineorbits import (
     same_orbit,
 )
 
-from line_helper import lines_over
+from line_helper import f_vector, lines_over
 
 # orbit counts attainable by the candidate partition
 L1_VALUES = frozenset({6, 9, 12, 15, 18, 21, 24})

@@ -349,9 +349,20 @@ def test_chart_divisibility_is_checked():
     # and decompose refuse it.
     orbits = orbit_partition(candidate_lines(reduce_gamma(GENERIC_GAMMA)))
     first, *rest = orbits.orbits
-    a, b, c, d = first.representative.point
-    moved = first.representative._replace(point=(a, b, c + 1, d))
-    broken = LineOrbitSet((LineOrbit(moved, (moved,)), *rest))
+
+    def moved_by(entry, step):
+        point = list(first.representative.point)
+        point[entry] += step
+        moved = first.representative._replace(point=tuple(point))
+        return LineOrbitSet((LineOrbit(moved, (moved,)), *rest))
+
     for tables in (build_tables, reference_tables):
         with pytest.raises(ValueError, match="needs entries divisible by"):
-            tables(broken)
+            tables(moved_by(2, 1))
+    # Every point of an op has all entries divisible by 6.  Some moves off
+    # that lattice keep every chart image divisible (entry 0 or 1 by 1, 2 or
+    # 3, entry 3 by 2) and would yield tables for other lines; build_tables
+    # refuses them all.
+    for entry, step in product(range(4), range(1, 6)):
+        with pytest.raises(ValueError, match="needs entries divisible by"):
+            build_tables(moved_by(entry, step))

@@ -11,7 +11,6 @@ from tilecohom.cyclotomic import (
     decode,
     decompose,
     encode,
-    f_vector,
     modulus,
     pt_scale_mul,
     xpow,
@@ -28,14 +27,15 @@ from tilecohom.window import (
     CODE_STEP,
     DELTAS,
     EDGE_NORM_SQ,
+    F_VECS,
+    PLANE_STEP,
     WINDOW_MODULUS,
+    _aligned_pair,
     _pair_and_extra,
     build_window,
     canonical_anchor,
     corner_fpart,
     corner_fperp,
-    code_axis,
-    code_fsign,
     convex_hull,
     edge_vector,
     enumerate_cubes,
@@ -44,7 +44,7 @@ from tilecohom.window import (
     verify_counts,
 )
 
-from line_helper import lines_over
+from line_helper import f_vector, lines_over
 
 
 ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
@@ -102,7 +102,7 @@ def test_edge_lengths_uniform():
     third = QuadRat(Fraction(1, 3))
     assert EDGE_NORM_SQ == (3, 0)  # 1/3 over 3^2
     for cube in enumerate_cubes():
-        for edge in cube.edges():
+        for edge in cube.faces(1):
             a, b = edge
             assert quadrat_norm_sq(fperp(a) - fperp(b)) == third
             diff = tuple(x - y for x, y in zip(corner_fperp(a), corner_fperp(b)))
@@ -110,20 +110,43 @@ def test_edge_lengths_uniform():
 
 
 def test_code_chart_matches_generators():
-    # Each edge code names a signed generator step; the perpendicular
-    # projection and the F-step must both follow that signature.
-    for k, (sign, j) in CODE_STEP.items():
+    # The int tables are derived from x^k; each must agree with the QuadRat
+    # generators f_i.  Edge code k names the signed generator step
+    # CODE_STEP[k]: the perpendicular projection and the plane step
+    # PLANE_STEP[k] must both follow that signature.
+    assert [decode(f, WINDOW_MODULUS) for f in F_VECS] == [f_vector(i) for i in range(1, 7)]
+    assert len(CODE_STEP) == len(PLANE_STEP) == 12
+    for k, (sign, j) in enumerate(CODE_STEP):
         vec = f_vector(j + 1)
         if sign < 0:
             vec = pt_scale_mul(vec, QuadRat(-1))
         assert decode(edge_vector(k), WINDOW_MODULUS) == vec
         step = (sign * DELTAS[j][0], sign * DELTAS[j][1])
-        axis = code_axis(k)
+        axis, step_sign = PLANE_STEP[k]
         assert step[1 - axis] == 0
-        assert step[axis] == code_fsign(k)
-    for k in range(6):
-        s, j = CODE_STEP[k]
-        assert CODE_STEP[k + 6] == (-s, j)
+        assert step[axis] == step_sign
+        # even codes step along the first axis; codes 0, 1 mod 4 forward
+        assert PLANE_STEP[k] == (k % 2, 1 if k % 4 < 2 else -1)
+        assert CODE_STEP[(k + 6) % 12] == (-sign, j)
+
+
+def test_cube_faces_by_dimension():
+    for cube in enumerate_cubes():
+        corners = cube.corners()
+        assert len(set(corners)) == 8
+        assert cube.faces(0) == [frozenset([c]) for c in corners]
+        assert cube.faces(3) == [frozenset(corners)]
+        for dim, count in ((1, 12), (2, 6)):
+            faces = cube.faces(dim)
+            assert len(set(faces)) == count
+            assert all(len(f) == 2 ** dim for f in faces)
+        # each corner lies on 3 edges and 3 squares
+        for corner in corners:
+            assert sum(corner in e for e in cube.faces(1)) == 3
+            assert sum(corner in f for f in cube.faces(2)) == 3
+        # an edge joins corners one generator step apart
+        for a, b in cube.faces(1):
+            assert sum(abs(x - y) for x, y in zip(a, b)) == 1
 
 
 # ---------------------------------------------------------------- cells
@@ -233,7 +256,7 @@ def test_mixed_sign_cube_census():
     # Twelve standard cubes mix a forward and a backward F-step; they all
     # sit at the two corner vertices whose coordinates alternate.
     standard = [c for c in enumerate_cubes() if c.kind == "isolated"]
-    mixed = [c for c in standard if len({code_fsign(k) for k in c.codes}) > 1]
+    mixed = [c for c in standard if len({PLANE_STEP[k][1] for k in c.codes}) > 1]
     assert len(mixed) == 12
     assert {c.base for c in mixed} == {(0, 1, 1, 0, 0, 1), (1, 0, 0, 1, 1, 0)}
 
@@ -362,23 +385,22 @@ def cut_line_forms(gamma):
     out = []
     for cube in enumerate_cubes():
         if cube.kind == "long":
-            axis = code_axis(cube.codes[0])
+            axis = PLANE_STEP[cube.codes[0]][0]
             if gamma[1 - axis].sign() != 0:
                 continue
             for m in cube.codes:
-                a, b = [c for c in cube.codes if c != m]
-                if (b - a) % 12 != 4:
-                    a, b = b, a
+                a, b = _aligned_pair(cube.codes, m)
                 anchor = pt_scale_mul(edge(b), gamma[axis])
-                if code_fsign(b) < 0:
+                if PLANE_STEP[b][1] < 0:
                     anchor = -anchor
                 out.append(((a + 5) % 6, anchor))
         else:
             a, _, extra = _pair_and_extra(cube.codes)
-            pair_term = pt_scale_mul(edge(a), gamma[code_axis(a)])
-            extra_term = pt_scale_mul(edge(extra), gamma[code_axis(extra)])
-            anchor = (pair_term if code_fsign(a) > 0 else -pair_term) + (
-                extra_term if code_fsign(extra) > 0 else -extra_term
+            (a_axis, a_sign), (extra_axis, extra_sign) = PLANE_STEP[a], PLANE_STEP[extra]
+            pair_term = pt_scale_mul(edge(a), gamma[a_axis])
+            extra_term = pt_scale_mul(edge(extra), gamma[extra_axis])
+            anchor = (pair_term if a_sign > 0 else -pair_term) + (
+                extra_term if extra_sign > 0 else -extra_term
             )
             out.append(((a + 5) % 6, anchor))
     return out
@@ -427,7 +449,7 @@ def test_generic_orbit_count_vs_candidate_list():
     cubes = {c.ident: c for c in enumerate_cubes()}
     mixed_ids = {
         c.ident for c in cubes.values()
-        if c.kind == "isolated" and len({code_fsign(k) for k in c.codes}) > 1}
+        if c.kind == "isolated" and len({PLANE_STEP[k][1] for k in c.codes}) > 1}
     line_sources = {(l.direction, l.anchor): l.sources for l in lines}
     for orbit in slice_orbits.orbits:
         matched = any(
@@ -442,6 +464,19 @@ def test_generic_orbit_count_vs_candidate_list():
         else:
             # Orbits outside the candidate list come only from mixed cubes.
             assert sources <= mixed_ids, orbit.representative
+
+
+def test_slice_reduces_gamma_first():
+    # gamma and gamma + (m, n) are one plane family, so they give one slice;
+    # sliced unreduced, (11/5, 1/7) would give 21 of the 72 lines.
+    for base in ((QuadRat(Fraction(1, 5)), QuadRat(Fraction(1, 7))),
+                 (QuadRat(0), QuadRat(Fraction(1, 5))),
+                 (QuadRat(Fraction(1, 7), Fraction(1, 11)),
+                  QuadRat(Fraction(1, 13), Fraction(1, 17)))):
+        expected = slice_detailed(base)
+        for m, k in ((1, 0), (2, 0), (0, -1), (-3, 2)):
+            assert slice_detailed((base[0] + QuadRat(m), base[1] + QuadRat(k))) == expected
+    assert len(slice_detailed((QuadRat(Fraction(11, 5)), QuadRat(Fraction(1, 7))))[0]) == 72
 
 
 def test_slice_runtime_budget():
