@@ -551,7 +551,7 @@ def _cut_standard(cube, gamma, n):
 
 def _cut_long(cube, gamma, n):
     """(delta, direction, anchor) for each translate delta cutting a long
-    cube, which it meets only in its own plane column or row."""
+    cube: only a translate with zero height across the cube's axis does."""
     axis, sign = PLANE_STEP[cube.codes[0]]
     plane, base = corner_fpart(cube.base), _base(cube, n)
     pairs = [(m, *_aligned_pair(cube.codes, m)) for m in cube.codes]

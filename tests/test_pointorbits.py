@@ -344,9 +344,9 @@ def test_too_fine_partition_is_refused():
 
 
 def test_chart_divisibility_is_checked():
-    # A point off the op's lattice: its chart images no longer differ from
-    # the others by multiples of the chart divisor, and both the fused pass
-    # and decompose refuse it.
+    # A point off the op's lattice: build_tables refuses it, and so does the
+    # oracle, whose decompose finds a charted difference that the chart
+    # divisor does not divide.
     orbits = orbit_partition(candidate_lines(reduce_gamma(GENERIC_GAMMA)))
     first, *rest = orbits.orbits
 
