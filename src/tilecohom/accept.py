@@ -41,49 +41,47 @@ A4 = (_q(0), _q(Fraction(1, 2)), _q(0, Fraction(1, 2)),
       _q(Fraction(1, 2), Fraction(1, 2)))
 ONCE = (_q(0),)
 
-_S13 = _q(0, Fraction(1, 3))  # 1/sqrt3
 _S23 = _q(0, Fraction(2, 3))  # 2/sqrt3
 _S16 = _q(0, Fraction(1, 6))  # 1/(2 sqrt3)
 _S12 = _q(0, Fraction(1, 2))  # sqrt3/2
-_S = _q(0, 1)
 _R13 = _q(Fraction(1, 3))
 _R23 = _q(Fraction(2, 3))
 _H = _q(Fraction(1, 2))
 
 CROSS_CLASS_LISTS = {
     0: (
-        ((-_S13, -_R23), A3), ((-_S23, -_R23), A3), ((-_S13, _q(0)), A3),
-        ((_q(0), _q(0)), A3), ((-_S13, _q(-1)), A3), ((-_S23, _q(-1)), A3),
-        ((_q(0), -_R13), A3), ((-_S13, -_R13), A3),
+        ((-INV_SQRT3, -_R23), A3), ((-_S23, -_R23), A3), ((-INV_SQRT3, _q(0)), A3),
+        ((_q(0), _q(0)), A3), ((-INV_SQRT3, _q(-1)), A3), ((-_S23, _q(-1)), A3),
+        ((_q(0), -_R13), A3), ((-INV_SQRT3, -_R13), A3),
         ((-_S16, _q(0)), A4), ((-_S12, _q(-1)), A4),
         ((-_S16, -_H), A4), ((-_S12, -_H), A4),
         ((_q(0), _q(0)), ONCE), ((_q(0), _q(-1)), ONCE), ((-_S23, _q(-2)), ONCE),
         ((-_S23, _q(-1)), ONCE), ((-_S23, _q(0)), ONCE), ((_q(0), _q(1)), ONCE),
     ),
     2: (
-        ((_q(0), -_R23), A3), ((-_S13, -_R23), A3), ((_q(0), _q(0)), A3),
-        ((_S13, _q(0)), A3), ((-_S13, _q(-1)), A3), ((-_S23, _q(-1)), A3),
-        ((_q(0), -_R13), A3), ((-_S13, -_R13), A3),
-        ((_q(0), _q(0)), A4), ((-_S13, _q(-1)), A4),
-        ((-_S13, -_H), A4), ((_q(0), -_H), A4),
-        ((-_S13, _q(0)), ONCE), ((-_S13, _q(-1)), ONCE), ((-_S, _q(-2)), ONCE),
-        ((-_S, _q(-1)), ONCE), ((_q(0), _q(-1)), ONCE), ((_S23, _q(0)), ONCE),
+        ((_q(0), -_R23), A3), ((-INV_SQRT3, -_R23), A3), ((_q(0), _q(0)), A3),
+        ((INV_SQRT3, _q(0)), A3), ((-INV_SQRT3, _q(-1)), A3), ((-_S23, _q(-1)), A3),
+        ((_q(0), -_R13), A3), ((-INV_SQRT3, -_R13), A3),
+        ((_q(0), _q(0)), A4), ((-INV_SQRT3, _q(-1)), A4),
+        ((-INV_SQRT3, -_H), A4), ((_q(0), -_H), A4),
+        ((-INV_SQRT3, _q(0)), ONCE), ((-INV_SQRT3, _q(-1)), ONCE), ((-SQRT3, _q(-2)), ONCE),
+        ((-SQRT3, _q(-1)), ONCE), ((_q(0), _q(-1)), ONCE), ((_S23, _q(0)), ONCE),
         ((_S23, _q(1)), ONCE),
     ),
     4: (
-        ((-_R23, _q(0)), A3), ((-_R23, _S13), A3), ((_q(0), _S23), A3),
-        ((_q(0), _S13), A3), ((_q(-1), _q(0)), A3), ((-_R13, _q(0)), A3),
-        ((_q(-1), -_S13), A3), ((-_R13, _S13), A3),
-        ((-_H, _S13), A4), ((_q(0), _S13), A4), ((_q(-1), _q(0)), A4),
+        ((-_R23, _q(0)), A3), ((-_R23, INV_SQRT3), A3), ((_q(0), _S23), A3),
+        ((_q(0), INV_SQRT3), A3), ((_q(-1), _q(0)), A3), ((-_R13, _q(0)), A3),
+        ((_q(-1), -INV_SQRT3), A3), ((-_R13, INV_SQRT3), A3),
+        ((-_H, INV_SQRT3), A4), ((_q(0), INV_SQRT3), A4), ((_q(-1), _q(0)), A4),
         ((-_H, _q(0)), A4),
         ((_q(-2), -_S23), ONCE), ((_q(-1), _q(0)), ONCE), ((_q(-1), -_S23), ONCE),
-        ((_q(0), _q(0)), ONCE), ((_q(-1), _S13), ONCE), ((_q(0), _S13), ONCE),
-        ((_q(0), _S), ONCE), ((_q(1), _S), ONCE),
+        ((_q(0), _q(0)), ONCE), ((_q(-1), INV_SQRT3), ONCE), ((_q(0), INV_SQRT3), ONCE),
+        ((_q(0), SQRT3), ONCE), ((_q(1), SQRT3), ONCE),
     ),
     6: (
-        ((-_R23, _q(0)), A3), ((-_R23, _S13), A3), ((_q(0), _S23), A3),
-        ((_q(0), _S13), A3), ((_q(-1), _q(0)), A3), ((_q(-1), _S13), A3),
-        ((-_R13, _S23), A3), ((-_R13, _S13), A3),
+        ((-_R23, _q(0)), A3), ((-_R23, INV_SQRT3), A3), ((_q(0), _S23), A3),
+        ((_q(0), INV_SQRT3), A3), ((_q(-1), _q(0)), A3), ((_q(-1), INV_SQRT3), A3),
+        ((-_R13, _S23), A3), ((-_R13, INV_SQRT3), A3),
         ((_q(-1), _S16), A4), ((-_H, _S16), A4), ((-_H, _S12), A4),
         ((_q(0), _S12), A4),
         ((_q(0), _S23), ONCE), ((_q(-1), _S23), ONCE), ((_q(-1), _q(0)), ONCE),

@@ -250,9 +250,10 @@ def parse_quadrat(text: str) -> QuadRat:
     """Parse `a/b+c/d√3` (√3 may be written √3, sqrt3 or s) into a QuadRat.
 
     Plain rationals, bare roots (`√3/3`, `-2s`, `sqrt3`) and any signed
-    combination of such terms are accepted.  Decimals are rejected: the
-    machinery downstream is exact and silently approximating the input
-    would corrupt every orbit count.
+    combination of such terms are accepted, with at most one sign before
+    each term: `--1` or `1+-1` is ambiguous and refused.  Decimals are
+    rejected: the machinery downstream is exact and silently approximating
+    the input would corrupt every orbit count.
     """
     raw = text.strip()
     if not raw:
@@ -266,15 +267,15 @@ def parse_quadrat(text: str) -> QuadRat:
     i, n = 0, len(norm)
     while i < n:
         sign = 1
-        while i < n and norm[i] in "+-":
-            if norm[i] == "-":
-                sign = -sign
+        if norm[i] in "+-":
+            sign = -1 if norm[i] == "-" else 1
             i += 1
         j = i
         while j < n and norm[j] not in "+-":
             j += 1
         if i == j:
-            raise ParseError(f"dangling sign in {text!r}")
+            problem = "two signs in a row" if j < n else "dangling sign"
+            raise ParseError(f"{problem} in {text!r}")
         total = total + _parse_term(norm[i:j], sign, text)
         i = j
     return total

@@ -477,10 +477,10 @@ def canonical_anchor(direction: int, t):
     return xscale(perp, cp, cq)
 
 
-def _in_open(s, upper: int, n: int) -> bool:
-    """0 < s < upper for the scalar s over n."""
+def _in_open(s, n: int) -> bool:
+    """0 < s < 2 for the scalar s over n."""
     p, q = s
-    return qsign(p, q) > 0 and qsign(upper * n - p, -q) > 0
+    return qsign(p, q) > 0 and qsign(2 * n - p, -q) > 0
 
 
 def _in_closed_unit(s, n: int) -> bool:
@@ -488,22 +488,22 @@ def _in_closed_unit(s, n: int) -> bool:
     return qsign(p, q) >= 0 and qsign(n - p, -q) >= 0
 
 
-def _aligned_pair(codes, extra):
-    """The two codes other than extra, ordered as (a, a+4 mod 12)."""
-    a, b = [c for c in codes if c != extra]
-    if (b - a) % 12 != 4:
-        a, b = b, a
-    if (b - a) % 12 != 4:
-        raise AssertionError(f"codes {codes} lack an aligned pair besides {extra}")
-    return a, b
-
-
-def _pair_and_extra(codes):
-    """Split a standard cube's codes into the same-parity pair (a, a+4 mod 12)
-    and the remaining code, the one whose parity no other code shares."""
-    parities = [c % 2 for c in codes]
-    extra = next(c for c in codes if parities.count(c % 2) == 1)
-    return (*_aligned_pair(codes, extra), extra)
+@lru_cache(maxsize=None)
+def _splits(codes):
+    """(m, b, direction) for each split of a cube's codes: a code m whose
+    other two codes a, b step alike along one plane axis.  A plane cut meets
+    the face of a and b where t_a + t_b is fixed, a segment along e_a - e_b;
+    direction is the k in 0..5 with x^k parallel to it."""
+    out = []
+    for m in codes:
+        a, b = [c for c in codes if c != m]
+        if PLANE_STEP[a] == PLANE_STEP[b]:
+            along = _sub(edge_vector(a), edge_vector(b))
+            direction = next(k for k in range(6) if cross(XPOW[k], along) == (0, 0))
+            out.append((m, b, direction))
+    if not out:
+        raise AssertionError(f"codes {codes} have no pair stepping along one plane axis")
+    return tuple(out)
 
 
 #: The plane translates delta that a slice tries against each cube.
@@ -537,36 +537,30 @@ def _add(*points):
     return tuple(map(sum, zip(*points)))
 
 
-def _cut_standard(cube, gamma, n):
-    """(delta, direction, anchor) for each translate delta cutting a
-    standard cube."""
-    a, b, extra = _pair_and_extra(cube.codes)
-    plane, base = corner_fpart(cube.base), _base(cube, n)
-    for delta in _TRANSLATES:
-        s1 = _height(plane, delta, gamma, n, *PLANE_STEP[a])
-        s2 = _height(plane, delta, gamma, n, *PLANE_STEP[extra])
-        if _in_open(s1, 2, n) and _in_closed_unit(s2, n):
-            yield delta, (a + 5) % 6, _add(base, _along(b, s1), _along(extra, s2))
+def _cuts(cube, gamma, n):
+    """(delta, direction, anchor) for each translate delta cutting the cube.
 
-
-def _cut_long(cube, gamma, n):
-    """(delta, direction, anchor) for each translate delta cutting a long
-    cube: only a translate with zero height across the cube's axis does."""
-    axis, sign = PLANE_STEP[cube.codes[0]]
+    For each split (m, b) the cut holds t_m fixed.  When m steps on the
+    other plane axis, t_m is its own height and lies in [0, 1]; when m steps
+    on the pair's axis, the translate must have zero height across that axis
+    and t_m is 0 or 1.  The pair's remaining height r lies in (0, 2), and
+    the cut line runs through base + t_m*e_m + r*e_b."""
     plane, base = corner_fpart(cube.base), _base(cube, n)
-    pairs = [(m, *_aligned_pair(cube.codes, m)) for m in cube.codes]
-    for delta in _TRANSLATES:
-        if _height(plane, delta, gamma, n, 1 - axis, 1) != (0, 0):
-            continue
-        s = _height(plane, delta, gamma, n, axis, sign)
-        if not _in_open(s, 3, n):
-            continue
-        for m, a, b in pairs:
-            for alpha in (0, 1):
-                r = (s[0] - alpha * n, s[1])
-                if _in_open(r, 2, n):
-                    anchor = _add(base, _along(m, (alpha * n, 0)), _along(b, r))
-                    yield delta, (a + 5) % 6, anchor
+    for m, b, direction in _splits(cube.codes):
+        axis, sign = PLANE_STEP[b]
+        m_axis, m_sign = PLANE_STEP[m]
+        for delta in _TRANSLATES:
+            h = _height(plane, delta, gamma, n, axis, sign)
+            if m_axis != axis:
+                t = _height(plane, delta, gamma, n, m_axis, m_sign)
+                fixed = [(t, h)] if _in_closed_unit(t, n) else []
+            elif _height(plane, delta, gamma, n, 1 - axis, 1) == (0, 0):
+                fixed = [((0, 0), h), ((n, 0), (h[0] - n, h[1]))]
+            else:
+                fixed = []
+            for t, r in fixed:
+                if _in_open(r, n):
+                    yield delta, direction, _add(base, _along(m, t), _along(b, r))
 
 
 def slice_detailed(gamma):
@@ -587,8 +581,7 @@ def slice_detailed(gamma):
     found = {}
     incidences = set()
     for cube in enumerate_cubes():
-        cut = _cut_long if cube.kind == "long" else _cut_standard
-        for delta, direction, anchor in cut(cube, scaled, n):
+        for delta, direction, anchor in _cuts(cube, scaled, n):
             incidences.add((cube.ident, delta))
             key = (direction, canonical_anchor(direction, anchor))
             found.setdefault(key, set()).add((cube.ident, delta))

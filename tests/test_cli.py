@@ -131,6 +131,7 @@ def test_gamma_value_may_start_with_a_minus_sign():
 
 def test_input_faults_exit_2_with_a_clear_message():
     for gamma, message in (("1/2 3,0", "space"), ("٣/7,0", "cannot read"),
+                           ("1--1,0", "two signs"), ("0,+-1/3", "two signs"),
                            ("1" * 5000 + ",0", f"{sys.get_int_max_str_digits()} digits")):
         code, out, err = run_cli(["report", "--gamma", gamma])
         assert (code, out) == (2, "")

@@ -196,7 +196,8 @@ def test_parse_fixed_forms():
 
 
 def test_parse_rejections():
-    for bad in ("", "1.5", "pi", "1/0", "s/0", "++", "1+", "2x"):
+    for bad in ("", "1.5", "pi", "1/0", "s/0", "++", "1+", "2x",
+                "--1", "1--1", "+-1", "-+s", "1/2+-√3", "1 - -1"):
         with pytest.raises(ParseError):
             parse_quadrat(bad)
 

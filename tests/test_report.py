@@ -17,10 +17,14 @@ def rnd_fraction(rnd):
     return Fraction(rnd.randrange(-40, 40), rnd.randrange(1, 24))
 
 
+def component_text(a, b):
+    """a + b*sqrt3 with one sign before each term."""
+    return f"{a}{'-' if b < 0 else '+'}{abs(b)}√3"
+
+
 def rnd_gamma_text(rnd):
     def one(_):
-        a, b = rnd_fraction(rnd), rnd_fraction(rnd)
-        return f"{a}+{b}√3"
+        return component_text(rnd_fraction(rnd), rnd_fraction(rnd))
 
     return ",".join(one(k) for k in range(2))
 
@@ -152,8 +156,8 @@ def test_parse_gamma_random_round_trip():
         text = rnd_gamma_text(rnd)
         g1, g2 = parse_gamma(text)
         a, b = text.split(",")
-        assert f"{g1.p}+{g1.q}√3" == a
-        assert f"{g2.p}+{g2.q}√3" == b
+        assert component_text(g1.p, g1.q) == a
+        assert component_text(g2.p, g2.q) == b
 
 
 def test_parse_gamma_spaces_only_next_to_a_sign():

@@ -30,8 +30,9 @@ from tilecohom.window import (
     F_VECS,
     PLANE_STEP,
     WINDOW_MODULUS,
-    _aligned_pair,
-    _pair_and_extra,
+    Cube,
+    _cuts,
+    _splits,
     build_window,
     canonical_anchor,
     corner_fpart,
@@ -44,7 +45,9 @@ from tilecohom.window import (
     verify_counts,
 )
 
+from cut_oracle import aligned_pair, pair_and_extra, reference_slice
 from line_helper import f_vector, lines_over
+from test_pointorbits import STRESS_GAMMAS
 
 
 ORIGIN = PlanePoint(QuadRat(0), QuadRat(0))
@@ -71,6 +74,14 @@ def rnd_gamma(rnd):
 
 def gamma_pair(g1, g2):
     return reduce_gamma((QuadRat(g1), QuadRat(g2))).pair()
+
+
+def grid(n):
+    """The shifts ((1/n)G)^2 mod G^2: every part in {0, 1/n, ..., (n-1)/n}."""
+    return [
+        (QuadRat(Fraction(a, n), Fraction(b, n)), QuadRat(Fraction(c, n), Fraction(d, n)))
+        for a, b, c, d in product(range(n), repeat=4)
+    ]
 
 
 # ---------------------------------------------------------------- counts
@@ -389,13 +400,13 @@ def cut_line_forms(gamma):
             if gamma[1 - axis].sign() != 0:
                 continue
             for m in cube.codes:
-                a, b = _aligned_pair(cube.codes, m)
+                a, b = aligned_pair(cube.codes, m)
                 anchor = pt_scale_mul(edge(b), gamma[axis])
                 if PLANE_STEP[b][1] < 0:
                     anchor = -anchor
                 out.append(((a + 5) % 6, anchor))
         else:
-            a, _, extra = _pair_and_extra(cube.codes)
+            a, _, extra = pair_and_extra(cube.codes)
             (a_axis, a_sign), (extra_axis, extra_sign) = PLANE_STEP[a], PLANE_STEP[extra]
             pair_term = pt_scale_mul(edge(a), gamma[a_axis])
             extra_term = pt_scale_mul(edge(extra), gamma[extra_axis])
@@ -430,6 +441,63 @@ def test_slice_matches_per_cube_closed_forms():
         lines = lines_over(sliced + cut_line_forms(gamma))
         sliced, forms = lines[:len(sliced)], lines[len(sliced):]
         assert _orbit_equivalent_linesets(sliced, forms), gamma
+
+
+def test_slice_matches_the_cut_by_kind():
+    # One cutter reads its rule off the plane steps of every cube; the oracle
+    # picks one of two cutters by cube kind.  Lines, decoded anchors,
+    # sources and incidences must agree on the N = 2 and N = 3 grids, where
+    # the long cubes are cut and the open and closed bounds decide, and at
+    # seeded random shifts.
+    rnd = random.Random(16)
+    samples = grid(2) + grid(3) + [rnd_gamma(rnd).pair() for _ in range(50)]
+    for gamma in samples:
+        assert slice_detailed(gamma) == reference_slice(gamma), gamma
+
+
+def test_every_cube_splits_and_a_cube_without_a_split_is_refused():
+    for cube in enumerate_cubes():
+        assert len(_splits(cube.codes)) == (3 if cube.kind == "long" else 1)
+    # codes 0 and 2 step opposite ways along one axis, 1 along the other:
+    # no two codes step alike, so the cutter has no rule for this cube
+    probe = Cube(-1, "probe", (0,) * 6, (0, 1, 2))
+    with pytest.raises(AssertionError, match="no pair"):
+        list(_cuts(probe, ((0, 0), (0, 0)), 6))
+
+
+def window_lines(gamma):
+    """(direction, anchor) of every line sliced at gamma or at -gamma that
+    has at least one source cube whose codes do not mix plane-step signs."""
+    mixed = {c.ident for c in enumerate_cubes()
+             if c.kind == "isolated" and len({PLANE_STEP[k][1] for k in c.codes}) > 1}
+    out = []
+    for g in (gamma, (-gamma[0], -gamma[1])):
+        for line in slice_detailed(g)[0]:
+            if any(ident not in mixed for ident, _ in line.sources):
+                out.append((line.direction, line.anchor))
+    return out
+
+
+def test_window_lines_at_plus_and_minus_gamma_are_the_candidate_orbits():
+    # An empirical identity, not a theorem: no argument for it is known.
+    # The non-mixed cuts at gamma and at -gamma fall into exactly the orbits
+    # of candidate_lines.  Equal orbit counts for the candidates, the window
+    # lines and their union mean every orbit holds lines of both.
+    rnd = random.Random(1616)
+
+    def big():
+        return Fraction(rnd.randrange(-10**6, 10**6), rnd.randrange(1, 10**6))
+
+    samples = grid(2) + grid(3) + STRESS_GAMMAS + [
+        (QuadRat(big(), big()), QuadRat(big(), big())) for _ in range(100)]
+    for raw in samples:
+        gamma = reduce_gamma(raw)
+        cands = [(c.direction, c.anchor) for c in candidate_lines(gamma)]
+        lines = lines_over(cands + window_lines(gamma.pair()))
+        cand_lines, win_lines = lines[:len(cands)], lines[len(cands):]
+        count = orbit_partition(cand_lines).L1
+        assert orbit_partition(win_lines).L1 == count, raw
+        assert orbit_partition(lines).L1 == count, raw
 
 
 def test_generic_orbit_count_vs_candidate_list():
