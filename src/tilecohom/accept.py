@@ -145,17 +145,18 @@ def class_lists_match(gamma) -> list[str]:
     orbits = orbit_partition(candidate_lines(gamma))
     tables = build_tables(orbits)
     closed = closed_form_lines(gamma)
+    engine_by_orbit = [set() for _ in orbits.orbits]
+    for gc in tables.points:
+        canon = gc.canon
+        for idx in gc.incident_orbits:
+            engine_by_orbit[idx].add((canon.u, canon.v))
     for idx, orbit in enumerate(orbits.orbits):
         members = {(line.direction, line.anchor) for line in orbit.members}
         union = set()
         for line, lead, sign in closed:
             if line in members:
                 union |= predicted_keys(gamma, line[0], lead, sign)
-        engine = {
-            (gc.canon.u, gc.canon.v)
-            for gc in tables.points
-            if idx in gc.incident_orbits
-        }
+        engine = engine_by_orbit[idx]
         if union != engine:
             failures.append(
                 f"orbit {idx} at gamma=({gamma.g1}, {gamma.g2}):"

@@ -228,6 +228,11 @@ def _parse_term(body: str, sign: int, original: str) -> QuadRat:
     root = _ROOT_TERM.fullmatch(body)
     if not root and not _RAT_TERM.fullmatch(body):
         raise ParseError(f"cannot read {body!r} in {original!r} as an exact value")
+    if root and root.group(2) and "/" in (root.group(1) or ""):
+        raise ParseError(
+            f"ambiguous root term in {original!r}: a denominator on both sides"
+            " of the root; write it on one side, as 1/10√3 or √3/10"
+        )
     try:
         if not root:
             return QuadRat(sign * Fraction(body))
@@ -251,7 +256,8 @@ def parse_quadrat(text: str) -> QuadRat:
 
     Plain rationals, bare roots (`√3/3`, `-2s`, `sqrt3`) and any signed
     combination of such terms are accepted, with at most one sign before
-    each term: `--1` or `1+-1` is ambiguous and refused.  Decimals are
+    each term: `--1` or `1+-1` is ambiguous and refused, and so is a root
+    term with a denominator on both sides (`1/2√3/5`).  Decimals are
     rejected: the machinery downstream is exact and silently approximating
     the input would corrupt every orbit count.
     """

@@ -28,13 +28,16 @@ carried through x^i, gets each crossing as a sum of two images, and adds the
 offsets, scaled to n and multiplied by x^i ahead of time, to land on the
 keys.  Multiplicities come from which directions claim one key on a
 representative, and the global count from the keys the representatives
-share.
+share.  A global class is held only as the bitmask of its incident orbits
+and the number of claims on it, which is all that L0, e and the checks
+need; the sorted list of decoded classes (IntersectionTables.points) is
+built from them only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .cyclotomic import XPOW, PlanePoint, _chart, decode, decompose, xscale
@@ -133,16 +136,34 @@ class LineType:
 
 @dataclass(frozen=True)
 class IntersectionTables:
+    """The counts of build_tables, with the global classes held undecoded.
+
+    incidence maps each class's Z[x] key over modulus to [bitmask of the
+    incident orbits, claim count]; build_tables has checked that every count
+    equals its class's p.
+    """
+
     per_orbit: tuple[OrbitPointCount, ...]
     types: tuple[LineType, ...]
-    points: tuple[GlobalClass, ...]
     L0_by_p: tuple[int, int, int, int, int]
     L0: int
     e: int
+    incidence: dict[tuple[int, int, int, int], list[int]] = field(
+        repr=False, compare=False)
+    modulus: int = field(repr=False, compare=False)
 
     @property
     def sum_L0alpha(self) -> int:
         return sum(entry.total for entry in self.per_orbit)
+
+    @cached_property
+    def points(self) -> tuple[GlobalClass, ...]:
+        """The global classes in key order, decoded on first use."""
+        classes = []
+        for key, (members, _) in sorted(self.incidence.items()):
+            orbits = tuple(b for b in range(members.bit_length()) if members >> b & 1)
+            classes.append(GlobalClass(key, self.modulus, len(orbits), orbits))
+        return tuple(classes)
 
 
 def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
@@ -157,10 +178,14 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     offset cosets differ), which the code verifies rather than assumes.
     Each global class must then be claimed exactly once per incident orbit,
     with one line set — that is the double-counting identity
-    L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form.  All
-    representatives share the modulus of their op, and, like every point of
-    an op, have all entries divisible by 6; a point that does not lies off
-    the op's lattice and is refused.
+    L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form.  A global
+    class is kept as [bitmask of its incident orbits, claim count]: every
+    claimer is a member and claims once, so a count equal to p names the
+    claimers too.  Every check runs here; the tables sort and decode the
+    classes (points) only when they are read, and compute never reads them.
+    All representatives share the modulus of their op, and, like every
+    point of an op, have all entries divisible by 6; a point that does not
+    lies off the op's lattice and is refused.
     """
     reps = [orbit.representative for orbit in orbits.orbits]
     n = reps[0].modulus if reps else OFFSET_MODULUS
@@ -174,8 +199,8 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
         by_direction[line.direction].append(ia)
     points = [line.point for line in reps]
     per_orbit: list = [None] * len(reps)
-    # Z[x] key -> (bitmask of the incident orbits, the orbits that claimed it)
-    global_incidence: dict[tuple[int, int, int, int], tuple[int, list[int]]] = {}
+    # Z[x] key -> [bitmask of the incident orbits, how often it was claimed]
+    global_incidence: dict[tuple[int, int, int, int], list[int]] = {}
     for i, alphas in enumerate(by_direction):
         # Each direction's classes are folded into global_incidence as soon
         # as its passes are done, so only one direction's keys are held.
@@ -191,35 +216,27 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 members = claim >> 6 | 1 << ia
                 entry = global_incidence.get(key)
                 if entry is None:
-                    global_incidence[key] = (members, [ia])
+                    global_incidence[key] = [members, 1]
                 elif entry[0] != members:
                     raise ConsistencyError(
                         "one point class reached with two different line sets"
                     )
                 else:
-                    entry[1].append(ia)
+                    entry[1] += 1
             for p, count in enumerate(by_p):
                 if count and not P_MIN <= p <= P_MAX:
                     raise ConsistencyError(f"crossing multiplicity {p} out of range")
             per_orbit[ia] = OrbitPointCount(ia, i, tuple(by_p[P_MIN:P_MAX + 1]))
 
-    # tuple.__new__ skips the argument-binding frame of the generated
-    # NamedTuple constructor, as in lineorbits.candidate_lines
-    new = tuple.__new__
-    global_classes = []
     l0_by_p = [0] * (P_MAX - P_MIN + 1)
-    for key in sorted(global_incidence):
-        members, claimers = global_incidence[key]
+    for members, claims in global_incidence.values():
         p = members.bit_count()
-        if len(claimers) != p:
+        if claims != p:
             raise ConsistencyError(
-                f"point class claimed {len(claimers)} times by {p} incident"
+                f"point class claimed {claims} times by {p} incident"
                 " orbits; double counting broken"
             )
         l0_by_p[p - P_MIN] += 1
-        # every claimer is a member and claims once: with p of them they are
-        # the members
-        global_classes.append(new(GlobalClass, (key, n, p, tuple(sorted(claimers)))))
 
     for p in range(P_MIN, P_MAX + 1):
         on_lines = sum(entry.by_p[p - P_MIN] for entry in per_orbit)
@@ -229,16 +246,16 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 f" not {p} * {l0_by_p[p - P_MIN]}"
             )
 
-    l0 = len(global_classes)
-    tables = IntersectionTables(
+    l0 = len(global_incidence)
+    return IntersectionTables(
         per_orbit=tuple(per_orbit),
         types=_group_types(per_orbit),
-        points=tuple(global_classes),
         L0_by_p=tuple(l0_by_p),
         L0=l0,
         e=-l0 + sum(entry.total for entry in per_orbit),
+        incidence=global_incidence,
+        modulus=n,
     )
-    return tables
 
 
 def _claim_crossings(points, n: int, alphas, betas, i: int, j: int, classes) -> None:

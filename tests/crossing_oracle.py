@@ -5,8 +5,12 @@ time, through `cyclotomic.decompose` on each anchor difference, and
 `reference_tables` builds the tables on them: per representative alpha, the
 classes mod G that every other orbit claims, then their Z[x] keys.
 `tests/test_pointorbits.py` requires `pointorbits.build_tables`, which makes
-one pass per pair of directions instead, to return equal tables.
+one pass per pair of directions instead, to return equal tables.  The
+oracle's tables are its own record, with every field, `points` included,
+built eagerly by its own loop.
 """
+
+from dataclasses import dataclass
 
 from tilecohom.cyclotomic import decompose, xscale
 from tilecohom.lineorbits import SingularLine
@@ -16,7 +20,7 @@ from tilecohom.pointorbits import (
     P_MIN,
     ConsistencyError,
     GlobalClass,
-    IntersectionTables,
+    LineType,
     OrbitPointCount,
     _group_types,
     coset_set,
@@ -61,7 +65,19 @@ def global_key(alpha: SingularLine, lam: tuple[int, int]) -> tuple[int, int, int
     return tuple((a + b) % n for a, b in zip(alpha.point, step))
 
 
-def reference_tables(orbits) -> IntersectionTables:
+@dataclass(frozen=True)
+class ReferenceTables:
+    """The fields of `pointorbits.IntersectionTables`, all held as values."""
+
+    per_orbit: tuple[OrbitPointCount, ...]
+    types: tuple[LineType, ...]
+    points: tuple[GlobalClass, ...]
+    L0_by_p: tuple[int, int, int, int, int]
+    L0: int
+    e: int
+
+
+def reference_tables(orbits) -> ReferenceTables:
     """The tables of `pointorbits.build_tables`, one crossing at a time."""
     reps = [orbit.representative for orbit in orbits.orbits]
     directions = [line.direction for line in reps]
@@ -119,7 +135,7 @@ def reference_tables(orbits) -> IntersectionTables:
             )
 
     l0 = len(points)
-    return IntersectionTables(
+    return ReferenceTables(
         per_orbit=tuple(per_orbit),
         types=_group_types(per_orbit),
         points=tuple(points),

@@ -137,6 +137,10 @@ def test_input_faults_exit_2_with_a_clear_message():
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
         assert "set_int_max_str_digits" not in err
+    # 1/2√3/5 could be √3/10 or 5/(2√3)
+    code, out, err = run_cli(["l1", "--gamma=1/2√3/5,0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "ambiguous root term" in err
 
 
 @pytest.mark.parametrize("error", [

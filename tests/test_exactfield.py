@@ -193,11 +193,14 @@ def test_parse_fixed_forms():
     assert parse_quadrat("1/7 + √3/11") == QuadRat(Fraction(1, 7), Fraction(1, 11))
     assert parse_quadrat("2√3/3") == QuadRat(0, Fraction(2, 3))
     assert parse_quadrat("1-√3") == QuadRat(1, -1)
+    assert parse_quadrat("1/2√3") == QuadRat(0, Fraction(1, 2))
+    assert parse_quadrat("2*√3/5") == QuadRat(0, Fraction(2, 5))
 
 
 def test_parse_rejections():
     for bad in ("", "1.5", "pi", "1/0", "s/0", "++", "1+", "2x",
-                "--1", "1--1", "+-1", "-+s", "1/2+-√3", "1 - -1"):
+                "--1", "1--1", "+-1", "-+s", "1/2+-√3", "1 - -1",
+                "1/2√3/5", "1/2*√3/5", "-1/2sqrt3/5", "1+1/2s/5"):
         with pytest.raises(ParseError):
             parse_quadrat(bad)
 

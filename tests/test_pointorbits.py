@@ -17,12 +17,15 @@ from tilecohom.lineorbits import (
     orbit_partition,
     reduce_gamma,
 )
+import tilecohom.pointorbits
 from tilecohom.pointorbits import (
     OFFSET_MODULUS,
     ConsistencyError,
+    IntersectionTables,
     build_tables,
     coset_set,
 )
+from tilecohom.report import compute, render
 
 from crossing_oracle import global_key, lambda_classes, reference_tables
 from line_helper import lines_over
@@ -366,3 +369,46 @@ def test_chart_divisibility_is_checked():
     for entry, step in product(range(4), range(1, 6)):
         with pytest.raises(ValueError, match="needs entries divisible by"):
             build_tables(moved_by(entry, step))
+
+
+def _points_refused(monkeypatch):
+    """Make reading IntersectionTables.points fail the test."""
+    def refused(tables):
+        raise AssertionError("IntersectionTables.points was read")
+
+    monkeypatch.setattr(IntersectionTables, "points", property(refused))
+
+
+def test_compute_never_reads_the_points(monkeypatch):
+    _points_refused(monkeypatch)
+    for raw, l1, _, l0, e, *_ in WORKED_CASES:
+        report = compute(raw)
+        assert (report.L1, report.L0, report.e) == (l1, l0, e)
+        assert render(report, "json").startswith(b"{")
+
+
+@pytest.mark.parametrize("kept, message", [
+    (slice(1, None), "two different line sets"),
+    (slice(None, -1), "double counting broken"),
+])
+def test_checks_run_before_the_points_are_read(monkeypatch, kept, message):
+    # Drop one crossing offset of the pair (0, 3): orbits of direction 0 then
+    # miss classes that orbits of direction 3 still claim.  Dropping the
+    # zero offset breaks a shared class's line set, dropping the last one
+    # leaves a class of p = 2 claimed once; build_tables itself refuses
+    # both, with points never read.
+    chart = tilecohom.pointorbits._pair_chart
+    alpha_side, beta_side, k, steps = chart(0, 3)
+    assert len(steps) == 4
+
+    def truncated(i, j):
+        if (i, j) == (0, 3):
+            return alpha_side, beta_side, k, steps[kept]
+        return chart(i, j)
+
+    _points_refused(monkeypatch)
+    monkeypatch.setattr(tilecohom.pointorbits, "_pair_chart", truncated)
+    for raw in ((q(0), q(0)), GENERIC_GAMMA):
+        orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
+        with pytest.raises(ConsistencyError, match=message):
+            build_tables(orbits)
