@@ -148,9 +148,8 @@ class IntersectionTables:
     L0_by_p: tuple[int, int, int, int, int]
     L0: int
     e: int
-    incidence: dict[tuple[int, int, int, int], list[int]] = field(
-        repr=False, compare=False)
-    modulus: int = field(repr=False, compare=False)
+    incidence: dict[tuple[int, int, int, int], list[int]] = field(repr=False)
+    modulus: int
 
     @property
     def sum_L0alpha(self) -> int:
