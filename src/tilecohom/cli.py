@@ -19,7 +19,6 @@ from .report import (
     render,
     table_lines,
 )
-from .window import WINDOW_MODULUS, build_window, enumerate_cubes, verify_counts
 
 #: The keys of the report payload that `tables --json` prints.
 TABLES_KEYS = ("schema", "gamma", "line_types", "L0_by_p", "L0", "sum_L0alpha")
@@ -124,11 +123,16 @@ def _cmd_smith(args):
 
 
 def _vertex_row(fpart, t):
+    from .window import WINDOW_MODULUS
+
     p = decode(t, WINDOW_MODULUS)
     return [*fpart, format_quadrat(p.u), format_quadrat(p.v)]
 
 
 def _cmd_verify_window(args):
+    # Imported here, as accept is for --selftest: no other command needs the window.
+    from .window import build_window, enumerate_cubes, verify_counts
+
     result = verify_counts()
     code = 0 if result["ok"] else 3
     if args.as_json:

@@ -37,8 +37,9 @@ class QuadRat:
     __slots__ = ("p", "q")
 
     def __init__(self, p: Rational = 0, q: Rational = 0) -> None:
-        self.p = Fraction(p)
-        self.q = Fraction(q)
+        # A Fraction is immutable, so one passed in is kept as it is.
+        self.p = p if isinstance(p, Fraction) else Fraction(p)
+        self.q = q if isinstance(q, Fraction) else Fraction(q)
 
     # -- structural protocol ------------------------------------------------
 

@@ -9,11 +9,13 @@ k+6 are opposite steps).  Directions of lines are always reduced mod 6.
 Every computation here runs on the int points of cyclotomic.  The window's
 own points are sums of the edge vectors, whose coordinates lie in (1/3)G, so
 build_window, enumerate_cubes and verify_counts work over the modulus 3.  A
-slice works over the modulus of its gamma, 6*D, which makes the heights of
-the cutting planes, the cut anchors and their canonical forms exact ints.
-Every orientation, sign and range test is an int comparison (qsign).  QuadRat
-appears only where a result is handed out: SlicedLine.anchor, decoded once
-per line.
+slice works over the modulus of its gamma, 6*D, where plane heights and cut
+anchors are exact ints.  A height depends only on (axis, sign, k =
+delta[axis] - plane[axis]), so a slice decides every range test once, in a
+height table.  Each cube split has a cut map, built on first use: its plane
+steps and a 2-row int map taking the scalars (t, r) of a cut to its
+canonical anchor by one checked exact division.  Every orientation, sign and
+range test is an int comparison (qsign); QuadRat appears only in SlicedLine.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from functools import cmp_to_key, lru_cache
 from .cyclotomic import (
     XPOW,
     PlanePoint,
+    _chart,
     cross,
     decode,
-    decompose,
     delta0_coords,
     lattice_contains,
     modulus,
     qmul,
     qsign,
     scalar,
+    times_sqrt3,
     xscale,
 )
 from . import homalg
@@ -470,24 +473,6 @@ class SlicedLine:
     sources: tuple  # (cube ident, delta) pairs contributing a segment
 
 
-def canonical_anchor(direction: int, t):
-    """Drop the component of the int point t along the line's own direction."""
-    perp = (direction + 3) % 6
-    _, _, cp, cq = decompose(t, direction, perp)
-    return xscale(perp, cp, cq)
-
-
-def _in_open(s, n: int) -> bool:
-    """0 < s < 2 for the scalar s over n."""
-    p, q = s
-    return qsign(p, q) > 0 and qsign(2 * n - p, -q) > 0
-
-
-def _in_closed_unit(s, n: int) -> bool:
-    p, q = s
-    return qsign(p, q) >= 0 and qsign(n - p, -q) >= 0
-
-
 @lru_cache(maxsize=None)
 def _splits(codes):
     """(m, b, direction) for each split of a cube's codes: a code m whose
@@ -508,59 +493,76 @@ def _splits(codes):
 
 #: The plane translates delta that a slice tries against each cube.
 _TRANSLATES = tuple(itertools.product(range(-1, 3), repeat=2))
+#: The k = delta[axis] - plane[axis] of the height table (planes lie in -1..2,
+#: a same-axis split also reads k - sign), and the slots of the constants 0, 1.
+_K = range(-4, 5)
+_ZERO, _ONE = 4 * len(_K), 4 * len(_K) + 1
 
 
-def _height(plane, delta, gamma, n, axis, sign):
-    """Signed height sign * (plane translate - base plane) along one axis,
-    over n, for a cube whose base corner lies on the plane `plane`."""
-    p, q = gamma[axis]
-    return sign * (p + (delta[axis] - plane[axis]) * n), sign * q
+def _slot(axis, sign, k):
+    """The height table's slot of sign * (gamma[axis] + k)."""
+    return (2 * axis + (sign < 0)) * len(_K) + k - _K[0]
 
 
-def _along(code, s):
-    """The point s * edge_vector(code), over the modulus n of s.
-
-    The product of the edge vector over WINDOW_MODULUS and s is over 3n; it
-    divides back to n exactly because 3 divides s.p for every height of a
-    slice, whose entries are multiples of 6."""
-    a, b, c, d = edge_vector(code)
-    u, v = qmul(a, b, *s), qmul(c, d, *s)
-    return tuple(x // WINDOW_MODULUS for x in (*u, *v))
-
-
-def _base(cube, n):
-    """The internal-plane image of the cube's base corner, over n."""
-    return tuple(c * (n // WINDOW_MODULUS) for c in corner_fperp(cube.base))
+def _heights(gamma, n):
+    """The height table of a slice at the scaled gamma over n: each height
+    sign * (gamma[axis] + k), then the constants 0 and 1, and per slot its
+    open test 0 < h < 2, closed test 0 <= h <= 1 and zero test."""
+    values = [(sign * (gamma[axis][0] + k * n), sign * gamma[axis][1])
+              for axis in (0, 1) for sign in (1, -1) for k in _K] + [(0, 0), (n, 0)]
+    return (n, values,
+            [qsign(p, q) > 0 and qsign(2 * n - p, -q) > 0 for p, q in values],
+            [qsign(p, q) >= 0 and qsign(n - p, -q) >= 0 for p, q in values],
+            [h == (0, 0) for h in values])
 
 
-def _add(*points):
-    return tuple(map(sum, zip(*points)))
+@lru_cache(maxsize=None)
+def _cut_map(base, codes):
+    """(direction, perp, rows, divisor, candidates) for each split (m, b).
 
-
-def _cuts(cube, gamma, n):
-    """(delta, direction, anchor) for each translate delta cutting the cube.
-
-    For each split (m, b) the cut holds t_m fixed.  When m steps on the
-    other plane axis, t_m is its own height and lies in [0, 1]; when m steps
-    on the pair's axis, the translate must have zero height across that axis
-    and t_m is 0 or 1.  The pair's remaining height r lies in (0, 2), and
-    the cut line runs through base + t_m*e_m + r*e_b."""
-    plane, base = corner_fpart(cube.base), _base(cube, n)
-    for m, b, direction in _splits(cube.codes):
-        axis, sign = PLANE_STEP[b]
-        m_axis, m_sign = PLANE_STEP[m]
+    A cut holds t_m fixed and has its height r along b in (0, 2); its line
+    runs through base + t_m*e_m + r*e_b.  If m steps on the other plane axis,
+    t_m is its height, in [0, 1]; else the height across the axis must be 0
+    and t_m is 0 or 1.  A candidate (delta, t, r, g) names the height slots
+    of t_m, r and that zero.  rows compose the base corner, the edge vectors
+    and the (x^direction, x^perp) chart: they take (n, t, r) to divisor
+    times the perp coefficient of the line's point."""
+    plane, corner = corner_fpart(base), corner_fperp(base)
+    out = []
+    for m, b, direction in _splits(codes):
+        perp = (direction + 3) % 6
+        chart, divisor = _chart(direction, perp)
+        columns = (corner, edge_vector(m), times_sqrt3(edge_vector(m)),
+                   edge_vector(b), times_sqrt3(edge_vector(b)))
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in chart[2:]]
+        (axis, sign), (m_axis, m_sign) = PLANE_STEP[b], PLANE_STEP[m]
+        candidates = []
         for delta in _TRANSLATES:
-            h = _height(plane, delta, gamma, n, axis, sign)
+            k = delta[axis] - plane[axis]
+            r = _slot(axis, sign, k)
             if m_axis != axis:
-                t = _height(plane, delta, gamma, n, m_axis, m_sign)
-                fixed = [(t, h)] if _in_closed_unit(t, n) else []
-            elif _height(plane, delta, gamma, n, 1 - axis, 1) == (0, 0):
-                fixed = [((0, 0), h), ((n, 0), (h[0] - n, h[1]))]
+                t = _slot(m_axis, m_sign, delta[m_axis] - plane[m_axis])
+                candidates.append((delta, t, r, _ZERO))
             else:
-                fixed = []
-            for t, r in fixed:
-                if _in_open(r, n):
-                    yield delta, direction, _add(base, _along(m, t), _along(b, r))
+                g = _slot(1 - axis, 1, delta[1 - axis] - plane[1 - axis])
+                candidates += [(delta, _ZERO, r, g), (delta, _ONE, _slot(axis, sign, k - sign), g)]
+        out.append((direction, perp, rows, WINDOW_MODULUS * divisor, candidates))
+    return tuple(out)
+
+
+def _cuts(cube, heights):
+    """(delta, direction, canonical anchor) for each translate delta cutting the cube."""
+    n, values, opens, closeds, zeros = heights
+    for direction, perp, rows, divisor, candidates in _cut_map(cube.base, cube.codes):
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = rows
+        for delta, t, r, g in candidates:
+            if opens[r] and closeds[t] and zeros[g]:
+                (tp, tq), (rp, rq) = values[t], values[r]
+                cp = a0 * n + a1 * tp + a2 * tq + a3 * rp + a4 * rq
+                cq = b0 * n + b1 * tp + b2 * tq + b3 * rp + b4 * rq
+                if cp % divisor or cq % divisor:
+                    raise ValueError(f"a cut of cube {cube.ident} is off the lattice over {n}")
+                yield delta, direction, xscale(perp, cp // divisor, cq // divisor)
 
 
 def slice_detailed(gamma):
@@ -570,21 +572,19 @@ def slice_detailed(gamma):
     gamma and gamma + (m, n) are one family.  The plane translations act
     only on the plane index, never on the in-plane coordinates, so carrying
     every cut to the base plane keeps its anchor as computed; cuts from
-    different planes landing on one line merge.  The cuts run on int points
-    over the modulus of gamma, and each line's anchor is decoded once.
-    Returns (lines, incidences) where incidences is the set of (cube ident,
-    delta) pairs with a nonempty cut.
+    different planes landing on one line merge.  Returns (lines, incidences)
+    where incidences is the set of (cube ident, delta) pairs with a nonempty
+    cut.
     """
     gamma = reduce_gamma(gamma).pair()
     n = modulus(*gamma)
-    scaled = (scalar(gamma[0], n), scalar(gamma[1], n))
+    heights = _heights((scalar(gamma[0], n), scalar(gamma[1], n)), n)
     found = {}
     incidences = set()
     for cube in enumerate_cubes():
-        for delta, direction, anchor in _cuts(cube, scaled, n):
+        for delta, direction, anchor in _cuts(cube, heights):
             incidences.add((cube.ident, delta))
-            key = (direction, canonical_anchor(direction, anchor))
-            found.setdefault(key, set()).add((cube.ident, delta))
+            found.setdefault((direction, anchor), set()).add((cube.ident, delta))
     lines = [
         SlicedLine(direction, decode(anchor, n), tuple(sorted(srcs)))
         for (direction, anchor), srcs in sorted(found.items())

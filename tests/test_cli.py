@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,17 @@ def test_verify_window_json_dumps_geometry():
     assert len(payload["vertices"]) == 52
     assert len(payload["cubes"]) == 40
     assert sum(1 for cube in payload["cubes"] if cube["kind"] == "long") == 4
+
+
+def test_importing_the_cli_leaves_the_window_unloaded():
+    # A fresh interpreter: the tests above have already imported the window.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, tilecohom.cli; print('tilecohom.window' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_large_denominator_runs_without_a_warning():

@@ -51,12 +51,15 @@ A3 = (q(0), q(0, Fraction(1, 3)), q(0, Fraction(2, 3)))
 A4 = (q(0), q(Fraction(1, 2)), q(0, Fraction(1, 2)), q(Fraction(1, 2), Fraction(1, 2)))
 
 
-def engine_keys(tables, orbit_index):
-    return {
-        (gc.canon.u, gc.canon.v)
-        for gc in tables.points
-        if orbit_index in gc.incident_orbits
-    }
+def engine_keys(tables, orbit_count):
+    """Each orbit's set of class keys, built in one pass over the points
+    with each canonical representative decoded once."""
+    keys = [set() for _ in range(orbit_count)]
+    for gc in tables.points:
+        canon = gc.canon
+        for idx in gc.incident_orbits:
+            keys[idx].add((canon.u, canon.v))
+    return keys
 
 
 def orbit_class_lists_match(gamma):
@@ -67,9 +70,10 @@ def orbit_class_lists_match(gamma):
     orbits = orbit_partition(candidate_lines(gamma))
     tables = build_tables(orbits)
     closed = {line for line, _, _ in closed_form_lines(gamma)}
+    keys = engine_keys(tables, len(orbits.orbits))
     for idx, orbit in enumerate(orbits.orbits):
         assert any((m.direction, m.anchor) in closed for m in orbit.members)
-        assert tables.per_orbit[idx].total == len(engine_keys(tables, idx))
+        assert tables.per_orbit[idx].total == len(keys[idx])
     return orbits, tables
 
 

@@ -32,9 +32,9 @@ from tilecohom.window import (
     WINDOW_MODULUS,
     Cube,
     _cuts,
+    _heights,
     _splits,
     build_window,
-    canonical_anchor,
     corner_fpart,
     corner_fperp,
     convex_hull,
@@ -45,7 +45,7 @@ from tilecohom.window import (
     verify_counts,
 )
 
-from cut_oracle import aligned_pair, pair_and_extra, reference_slice
+from cut_oracle import aligned_pair, canonical_anchor, pair_and_extra, reference_slice
 from line_helper import f_vector, lines_over
 from test_pointorbits import STRESS_GAMMAS
 
@@ -443,14 +443,24 @@ def test_slice_matches_per_cube_closed_forms():
         assert _orbit_equivalent_linesets(sliced, forms), gamma
 
 
+def huge(rnd, digits):
+    """A rational whose denominator has about `digits` digits."""
+    return Fraction(rnd.randrange(-10**digits, 10**digits), rnd.randrange(1, 10**digits))
+
+
 def test_slice_matches_the_cut_by_kind():
-    # One cutter reads its rule off the plane steps of every cube; the oracle
-    # picks one of two cutters by cube kind.  Lines, decoded anchors,
-    # sources and incidences must agree on the N = 2 and N = 3 grids, where
-    # the long cubes are cut and the open and closed bounds decide, and at
-    # seeded random shifts.
+    # One cutter reads its rule off the plane steps of every cube, from a
+    # height table and a cut map per split; the oracle picks one of two
+    # cutters by cube kind and cuts one translate at a time.  Lines, decoded
+    # anchors, sources and incidences must agree on the N = 2 and N = 3
+    # grids, where the long cubes are cut and the open and closed bounds
+    # decide, on every 9th point of the N = 6 grid, at seeded random shifts
+    # and at shifts whose parts have 10^30 and 10^200 denominators.
     rnd = random.Random(16)
-    samples = grid(2) + grid(3) + [rnd_gamma(rnd).pair() for _ in range(50)]
+    samples = grid(2) + grid(3) + grid(6)[::9] + [rnd_gamma(rnd).pair() for _ in range(50)]
+    for digits in (30, 200):
+        samples += [(QuadRat(huge(rnd, digits), huge(rnd, digits)),
+                     QuadRat(huge(rnd, digits), huge(rnd, digits))) for _ in range(5)]
     for gamma in samples:
         assert slice_detailed(gamma) == reference_slice(gamma), gamma
 
@@ -462,7 +472,17 @@ def test_every_cube_splits_and_a_cube_without_a_split_is_refused():
     # no two codes step alike, so the cutter has no rule for this cube
     probe = Cube(-1, "probe", (0,) * 6, (0, 1, 2))
     with pytest.raises(AssertionError, match="no pair"):
-        list(_cuts(probe, ((0, 0), (0, 0)), 6))
+        list(_cuts(probe, _heights(((0, 0), (0, 0)), 6)))
+
+
+def test_a_cut_over_a_modulus_not_divisible_by_6_is_refused():
+    # A slice works over 6*D, where every height is a multiple of 6 and each
+    # cut map divides exactly: gamma = (1/2, 1/2) is sliced over 12.  Over 2
+    # a cut of the same cube is off the lattice, and the cutter refuses it
+    # rather than round its anchor.
+    cube = next(c for c in enumerate_cubes() if list(_cuts(c, _heights(((6, 0), (6, 0)), 12))))
+    with pytest.raises(ValueError, match="off the lattice"):
+        list(_cuts(cube, _heights(((1, 0), (1, 0)), 2)))
 
 
 def window_lines(gamma):
@@ -489,7 +509,7 @@ def test_window_lines_at_plus_and_minus_gamma_are_the_candidate_orbits():
         return Fraction(rnd.randrange(-10**6, 10**6), rnd.randrange(1, 10**6))
 
     samples = grid(2) + grid(3) + STRESS_GAMMAS + [
-        (QuadRat(big(), big()), QuadRat(big(), big())) for _ in range(100)]
+        (QuadRat(big(), big()), QuadRat(big(), big())) for _ in range(100)] + grid(6)[::9]
     for raw in samples:
         gamma = reduce_gamma(raw)
         cands = [(c.direction, c.anchor) for c in candidate_lines(gamma)]
