@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactfield import INV_SQRT3, SQRT3, LatticeId, QuadRat, lattice_member, mod_canon
 from .cyclotomic import pt_scale_mul, xpow
@@ -170,8 +170,7 @@ def class_lists_match(gamma) -> list[str]:
 # -- criteria -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     ok: bool

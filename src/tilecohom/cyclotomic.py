@@ -14,16 +14,15 @@ fixed int matrix, and reduction mod Z[x] is `% n`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .exactfield import QuadRat, SQRT3
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(NamedTuple):
     """The complex number u + v*x with exact QuadRat coordinates."""
 
     u: QuadRat
@@ -40,6 +39,17 @@ class PlanePoint:
 
     def __bool__(self) -> bool:
         return bool(self.u) or bool(self.v)
+
+    # A point is not a sequence: refuse the tuple repetition and the tuple
+    # concatenation from the left that it would otherwise inherit.
+    def __mul__(self, other):
+        raise TypeError(f"cannot multiply a PlanePoint by {type(other).__name__};"
+                        " use pt_scale_mul for a real scalar")
+
+    __rmul__ = __mul__
+
+    def __radd__(self, other):
+        raise TypeError(f"cannot add a PlanePoint to {type(other).__name__}")
 
 
 # (u, v) rows for x^0 .. x^5; the second half of the twelve powers is the

@@ -50,7 +50,8 @@ class QuadRat:
         return self.p == other.p and self.q == other.q
 
     def __hash__(self) -> int:
-        return hash((self.p, self.q))
+        # A rational value equals its int or Fraction, so it hashes as one.
+        return hash((self.p, self.q)) if self.q else hash(self.p)
 
     def __bool__(self) -> bool:
         return bool(self.p) or bool(self.q)

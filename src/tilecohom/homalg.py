@@ -8,8 +8,8 @@ arbitrary integer matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 # -- direction stabilizers ---------------------------------------------------
@@ -29,8 +29,7 @@ _STAB_GENS = {
 }
 
 
-@dataclass(frozen=True)
-class StabilizerBasis:
+class StabilizerBasis(NamedTuple):
     direction: int
     gens: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
 
@@ -59,8 +58,7 @@ def beta_matrix():
 # -- Smith normal form --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     factors: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]

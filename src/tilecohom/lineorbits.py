@@ -10,22 +10,29 @@ group that the orbit counts L1 refer to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cyclotomic import PlanePoint, cross, decode, modulus, scalar, times_sqrt3, xscale, XPOW
 from .exactfield import QuadRat
 
 
-@dataclass(frozen=True)
-class GammaParam:
+class _GammaFields(NamedTuple):
     g1: QuadRat
     g2: QuadRat
 
-    def __post_init__(self):
-        for g in (self.g1, self.g2):
+
+class GammaParam(_GammaFields):
+    """A shift gamma with both components reduced into [0, 1)."""
+
+    __slots__ = ()
+
+    # A NamedTuple body may not define __new__, so the check lives on this
+    # subclass of the field tuple.
+    def __new__(cls, g1: QuadRat, g2: QuadRat):
+        for g in (g1, g2):
             if g.sign() < 0 or (QuadRat(1) - g).sign() <= 0:
                 raise ValueError(f"component {g} not reduced into [0,1)")
+        return super().__new__(cls, g1, g2)
 
     def pair(self):
         return (self.g1, self.g2)
@@ -99,8 +106,7 @@ def same_orbit(l1, l2) -> bool:
     return p % n == 0 and q % n == 0
 
 
-@dataclass(frozen=True)
-class LineOrbit:
+class LineOrbit(NamedTuple):
     representative: object  # any line-like object (.direction, .anchor)
     members: tuple
 
@@ -109,8 +115,7 @@ class LineOrbit:
         return self.representative.direction
 
 
-@dataclass(frozen=True)
-class LineOrbitSet:
+class LineOrbitSet(NamedTuple):
     orbits: tuple
 
     @property

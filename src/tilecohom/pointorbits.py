@@ -36,8 +36,7 @@ built from them only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .cyclotomic import XPOW, PlanePoint, _chart, decode, decompose, xscale
@@ -59,8 +58,7 @@ class ConsistencyError(RuntimeError):
     """An internal identity failed; signals an orbit-equivalence bug."""
 
 
-@dataclass(frozen=True)
-class CosetSet:
+class CosetSet(NamedTuple):
     """The translate offsets mod G seen along x^i in the basis (x^i, x^(i+d)),
     as int pairs over OFFSET_MODULUS in [0, OFFSET_MODULUS)."""
 
@@ -108,8 +106,7 @@ class GlobalClass(NamedTuple):
         return decode(self.key, self.modulus)
 
 
-@dataclass(frozen=True)
-class OrbitPointCount:
+class OrbitPointCount(NamedTuple):
     """L0^alpha for one line orbit, split by crossing multiplicity."""
 
     orbit: int
@@ -121,8 +118,7 @@ class OrbitPointCount:
         return sum(self.by_p)
 
 
-@dataclass(frozen=True)
-class LineType:
+class LineType(NamedTuple):
     """Orbits sharing one multiplicity profile, as one table row."""
 
     by_p: tuple[int, int, int, int, int]
@@ -134,13 +130,12 @@ class LineType:
         return sum(self.by_p)
 
 
-@dataclass(frozen=True)
-class IntersectionTables:
+class IntersectionTables(NamedTuple):
     """The counts of build_tables, with the global classes held undecoded.
 
     incidence maps each class's Z[x] key over modulus to [bitmask of the
     incident orbits, claim count]; build_tables has checked that every count
-    equals its class's p.
+    equals its class's p.  The repr leaves incidence out.
     """
 
     per_orbit: tuple[OrbitPointCount, ...]
@@ -148,16 +143,21 @@ class IntersectionTables:
     L0_by_p: tuple[int, int, int, int, int]
     L0: int
     e: int
-    incidence: dict[tuple[int, int, int, int], list[int]] = field(repr=False)
+    incidence: dict[tuple[int, int, int, int], list[int]]
     modulus: int
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self)
+                          if name != "incidence")
+        return f"IntersectionTables({shown})"
 
     @property
     def sum_L0alpha(self) -> int:
         return sum(entry.total for entry in self.per_orbit)
 
-    @cached_property
+    @property
     def points(self) -> tuple[GlobalClass, ...]:
-        """The global classes in key order, decoded on first use."""
+        """The global classes in key order, decoded on each read."""
         classes = []
         for key, (members, _) in sorted(self.incidence.items()):
             orbits = tuple(b for b in range(members.bit_length()) if members >> b & 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactfield import ParseError, format_quadrat, parse_quadrat
 from .homalg import rank_and_cokernel
@@ -12,8 +12,7 @@ from .lineorbits import GammaParam, candidate_lines, orbit_partition, reduce_gam
 from .pointorbits import LineType, build_tables
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """All pipeline outputs for one gamma, reduced echo included."""
 
     gamma: GammaParam

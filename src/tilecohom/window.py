@@ -21,8 +21,8 @@ range test is an int comparison (qsign); QuadRat appears only in SlicedLine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
+from typing import NamedTuple
 
 from .cyclotomic import (
     XPOW,
@@ -120,14 +120,12 @@ def convex_hull(points):
     return tuple(lower[:-1] + upper[:-1])
 
 
-@dataclass(frozen=True)
-class PlaneCell:
+class PlaneCell(NamedTuple):
     kind: str  # "point", "triangle" or "hexagon"
     hull: tuple  # hull vertices, int points over WINDOW_MODULUS, in cyclic order
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     cells: dict
     points: frozenset  # {(fpart, fperp)}, fperp an int point over WINDOW_MODULUS
 
@@ -195,8 +193,7 @@ _TRIANGLE_TRIPLES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     ident: int
     kind: str  # "long", "isolated" or "triangle"
     base: tuple
@@ -466,8 +463,7 @@ def _plane_preserving_sublattice_report():
 # -- slicing -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlicedLine:
+class SlicedLine(NamedTuple):
     direction: int  # 0..5
     anchor: PlanePoint  # perpendicular-reduced, lives in the base plane
     sources: tuple  # (cube ident, delta) pairs contributing a segment

@@ -117,15 +117,28 @@ def test_verify_window_json_dumps_geometry():
     assert sum(1 for cube in payload["cubes"] if cube["kind"] == "long") == 4
 
 
-def test_importing_the_cli_leaves_the_window_unloaded():
-    # A fresh interpreter: the tests above have already imported the window.
+def modules_loaded_by(module):
+    """The modules that importing module loads, in a fresh interpreter: the
+    tests above have already imported everything."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = "import sys, tilecohom.cli; print('tilecohom.window' in sys.modules)"
+    probe = (f"import sys; before = set(sys.modules); import {module};"
+             " print(*sorted(set(sys.modules) - before))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_leaves_the_window_unloaded():
+    loaded = modules_loaded_by("tilecohom.cli")
+    assert "tilecohom.report" in loaded
+    assert "tilecohom.window" not in loaded
+    assert "dataclasses" not in loaded
+    # The records are NamedTuples, so no module needs dataclasses.
+    for module in ("tilecohom.window", "tilecohom.accept"):
+        loaded = modules_loaded_by(module)
+        assert module in loaded and "dataclasses" not in loaded
 
 
 def test_large_denominator_runs_without_a_warning():

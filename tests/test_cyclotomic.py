@@ -251,6 +251,15 @@ def test_encode_decode_round_trip():
         encode(PlanePoint(QuadRat(Fraction(1, 7)), QuadRat(0)), 6)
 
 
+def test_a_point_is_not_a_sequence():
+    p = xpow(1)
+    for misuse in (lambda: 2 * p, lambda: p * 2, lambda: p * p, lambda: (0, 1) + p):
+        with pytest.raises(TypeError):
+            misuse()
+    assert pt_scale_mul(p, QuadRat(2)) == p + p
+    assert p - p == ORIGIN and not ORIGIN
+
+
 def test_qsign_matches_quadrat_sign():
     rng = random.Random(19)
     samples = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (7, -4), (-7, 4), (97, -56), (-97, 56)]

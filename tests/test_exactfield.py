@@ -76,6 +76,20 @@ def test_signs():
     assert QuadRat(5, -3).sign() == -1
 
 
+def test_rational_values_hash_as_their_int_or_fraction():
+    # Equal values must hash alike, or sets and dicts mix them up.
+    for value in (0, 1, -7, 10**40 + 1, Fraction(1, 2), Fraction(-22, 7)):
+        a = QuadRat(value)
+        assert a == value and hash(a) == hash(value)
+        assert value in {a} and a in {value}
+        assert {a: "x"}.get(value) == "x" and {value: "x"}.get(a) == "x"
+    assert {QuadRat(0): "zero"}.get(0) == "zero"
+    assert {QuadRat(1), 1, Fraction(1), QuadRat(Fraction(2, 2))} == {1}
+    root = QuadRat(Fraction(1, 2), 1)
+    assert root in {QuadRat(Fraction(2, 4), Fraction(3, 3))}
+    assert not {root} & {Fraction(1, 2), 1}
+
+
 def test_floors():
     assert QuadRat(0, 1).floor() == 1
     assert QuadRat(0, -1).floor() == -2

@@ -375,6 +375,18 @@ def test_chart_divisibility_is_checked():
             build_tables(moved_by(entry, step))
 
 
+def test_tables_repr_leaves_out_the_incidence():
+    tables = build_tables(orbit_partition(candidate_lines(
+        reduce_gamma((q(Fraction(1, 5)), q(Fraction(1, 7)))))))
+    text = repr(tables)
+    assert text.startswith("IntersectionTables(per_orbit=")
+    assert f"modulus={tables.modulus})" in text
+    assert "incidence" not in text
+    assert not any(repr(key) in text for key in tables.incidence)
+    first = tables.points
+    assert tables.points == first and len(first) == tables.L0
+
+
 def _points_refused(monkeypatch):
     """Make reading IntersectionTables.points fail the test."""
     def refused(tables):

@@ -10,7 +10,7 @@ import pytest
 import tilecohom.report
 from tilecohom.exactfield import ParseError, QuadRat
 from tilecohom.lineorbits import candidate_lines, orbit_partition, reduce_gamma, same_orbit
-from tilecohom.report import compute, parse_gamma, render
+from tilecohom.report import compute, parse_gamma, payload, render
 
 
 def rnd_fraction(rnd):
@@ -122,6 +122,19 @@ def test_render_json_deterministic_bytes():
     second = render(compute(parse_gamma("1/5,1/7")), format="json")
     assert first == second
     assert first.endswith(b"\n")
+
+
+def test_report_fields_read_by_name():
+    report = compute(parse_gamma("1/5,1/7"))
+    data = payload(report)
+    for name in ("L1", "R", "sum_L0alpha", "L0", "e", "h0", "h1", "h2", "torsion_free"):
+        assert data[name] == getattr(report, name)
+    assert data["per_direction"] == list(report.per_direction)
+    assert data["L0_by_p"] == list(report.L0_by_p)
+    assert (report.gamma.g1, report.gamma.g2) == (QuadRat(Fraction(1, 5)), QuadRat(Fraction(1, 7)))
+    assert [row["total"] for row in data["line_types"]] == [
+        row.total for row in report.line_type_table]
+    assert report.timing >= 0
 
 
 def test_render_rejects_unknown_format():
