@@ -154,9 +154,9 @@ def times_sqrt3(t):
 
 def cross(s, t) -> tuple[int, int]:
     """The (1, x)-determinant s.u*t.v - s.v*t.u, over the product of the moduli."""
-    p1, q1 = qmul(s[0], s[1], t[2], t[3])
-    p2, q2 = qmul(s[2], s[3], t[0], t[1])
-    return p1 - p2, q1 - q2
+    a, b, c, d = s
+    e, f, g, h = t
+    return a * g + 3 * b * h - c * e - 3 * d * f, a * h + b * g - c * f - d * e
 
 
 @lru_cache(maxsize=None)

@@ -5,14 +5,15 @@ A line is held as the int point sqrt(3)*anchor over the modulus of its op
 (1, x)-determinant of x^i and their scaled anchor difference, which is plus
 or minus twice its x^(i+3) component: only the perpendicular offset matters.  same_orbit
 quotients by the projected total lattice (1/sqrt 3)Z[x], the translation
-group that the orbit counts L1 refer to.
+group that the orbit counts L1 refer to; the determinant is linear, so
+orbit_key names each orbit.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclotomic import PlanePoint, cross, decode, modulus, scalar, times_sqrt3, xscale, XPOW
+from .cyclotomic import PlanePoint, cross, decode, modulus, qsign, scalar, times_sqrt3, xscale, XPOW
 from .exactfield import QuadRat
 
 
@@ -30,7 +31,10 @@ class GammaParam(_GammaFields):
     # subclass of the field tuple.
     def __new__(cls, g1: QuadRat, g2: QuadRat):
         for g in (g1, g2):
-            if g.sign() < 0 or (QuadRat(1) - g).sign() <= 0:
+            # 0 <= g < 1 decided on the int pair (p, q) of g over n
+            n = modulus(g)
+            p, q = scalar(g, n)
+            if qsign(p, q) < 0 or qsign(n - p, -q) <= 0:
                 raise ValueError(f"component {g} not reduced into [0,1)")
         return super().__new__(cls, g1, g2)
 
@@ -106,6 +110,14 @@ def same_orbit(l1, l2) -> bool:
     return p % n == 0 and q % n == 0
 
 
+def orbit_key(line) -> tuple[int, int, int]:
+    """The direction i and cross(x^i, point) mod n: equal exactly for the
+    lines that same_orbit puts in one orbit, since cross is linear."""
+    i, n = line.direction, line.modulus
+    p, q = cross(XPOW[i], line.point)
+    return i, p % n, q % n
+
+
 class LineOrbit(NamedTuple):
     representative: object  # any line-like object (.direction, .anchor)
     members: tuple
@@ -132,19 +144,26 @@ class LineOrbitSet(NamedTuple):
         return tuple(o for o in self.orbits if o.direction == direction)
 
 
-def orbit_partition(lines, test=same_orbit) -> LineOrbitSet:
-    """Group parallel lines into equivalence classes under the given test.
-
-    Membership is decided against class representatives, which is sound
-    because same_orbit is transitive (the test suite audits this)."""
-    classes = []
-    for line in lines:
-        for cls in classes:
-            rep = cls[0]
-            if rep.direction == line.direction and test(rep, line):
-                cls.append(line)
-                break
-        else:
-            classes.append([line])
-    orbits = tuple(LineOrbit(cls[0], tuple(cls)) for cls in classes)
-    return LineOrbitSet(orbits)
+def orbit_partition(lines, test=None) -> LineOrbitSet:
+    """Group a list of lines into orbits in order of first appearance, each
+    represented by its first member: one dict pass on orbit_key, all lines
+    over one modulus, or a transitive pairwise test (such as same_orbit)
+    against the class representatives."""
+    if test is None:
+        keyed: dict[tuple[int, int, int], list] = {}
+        for line in lines:
+            if line.modulus != lines[0].modulus:
+                raise ValueError(f"lines over the moduli {lines[0].modulus} and {line.modulus}")
+            keyed.setdefault(orbit_key(line), []).append(line)
+        classes = keyed.values()
+    else:
+        classes = []
+        for line in lines:
+            for cls in classes:
+                rep = cls[0]
+                if rep.direction == line.direction and test(rep, line):
+                    cls.append(line)
+                    break
+            else:
+                classes.append([line])
+    return LineOrbitSet(tuple(LineOrbit(cls[0], tuple(cls)) for cls in classes))

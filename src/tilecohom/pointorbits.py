@@ -16,30 +16,23 @@ entry.  QuadRat appears only when a class key is decoded for display
 (GlobalClass.canon).
 
 The crossings of a line alpha of direction x^i with all translates of a line
-beta of direction x^j fall into finitely many classes: the parameter along
-alpha is the x^i component of the anchor difference in the chart
-(x^i, x^j), shifted by an offset from a fixed finite subgroup of R/G
-(coset_set below, the {0}/A3/A4 pattern, held as int pairs over 6).  A class
-is held by the Z[x] key of its point rather than by its parameter mod G;
-both identify the same classes, because Z[x] meets R*x^i in G*x^i.
-build_tables makes one pass per ordered pair of directions (i, j): it images
-each representative of the two directions once under the pair's chart,
-carried through x^i, gets each crossing as a sum of two images, and adds the
-offsets, scaled to n and multiplied by x^i ahead of time, to land on the
-keys.  Multiplicities come from which directions claim one key on a
-representative, and the global count from the keys the representatives
-share.  A global class is held only as the bitmask of its incident orbits
-and the number of claims on it, which is all that L0, e and the checks
-need; the sorted list of decoded classes (IntersectionTables.points) is
-built from them only when it is read.
+beta of direction x^j fall into finitely many classes: one crossing point
+plus offsets along x^i from a fixed finite subgroup of R/G (coset_set below,
+the {0}/A3/A4 pattern, held as int pairs over 6).  A class is held by the
+Z[x] key of its point.  build_tables claims the keys in one pass per ordered
+pair of directions; a global class is held only as the bitmask of its
+incident orbits and the number of claims on it, which is all that L0, e and
+the checks need, and the sorted list of decoded classes
+(IntersectionTables.points) is built from them only when it is read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import XPOW, PlanePoint, _chart, decode, decompose, xscale
+from .cyclotomic import XPOW, PlanePoint, cross, decode, decompose, xscale
 from .lineorbits import LineOrbitSet
 
 #: Multiplicity range for 0-singularities: at least two lines cross, at most
@@ -48,10 +41,6 @@ P_MIN, P_MAX = 2, 6
 
 #: Modulus of the coset_set offsets, which lie in (1/6)G.
 OFFSET_MODULUS = 6
-
-#: A class claim on a representative is one int: bit j for each direction
-#: x^j that claims the class, and bit 6 + b for each claiming orbit b.
-_DIRECTION_BITS = (1 << 6) - 1
 
 
 class ConsistencyError(RuntimeError):
@@ -168,27 +157,23 @@ class IntersectionTables(NamedTuple):
 def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     """Count point orbits per line orbit and globally, with consistency checks.
 
-    One pass per ordered pair of directions (i, j) finds, for every
-    representative alpha of direction i, the classes where translates of the
-    orbits of direction j cross it (_claim_crossings).  Each class is held
-    by its Z[x] key, which identifies the classes of alpha exactly as their
-    parameters mod G do, with the directions and orbits that claim it;
-    distinct orbits of one direction always claim disjoint classes (their
+    One pass per ordered pair of directions (i, j) claims, on every
+    representative alpha of direction i, the Z[x] keys of the classes where
+    translates of the orbits of direction j cross it (_claim_crossings).
+    Distinct orbits of one direction always claim disjoint classes (their
     offset cosets differ), which the code verifies rather than assumes.
     Each global class must then be claimed exactly once per incident orbit,
     with one line set — that is the double-counting identity
-    L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form.  A global
-    class is kept as [bitmask of its incident orbits, claim count]: every
-    claimer is a member and claims once, so a count equal to p names the
-    claimers too.  Every check runs here; the tables sort and decode the
-    classes (points) only when they are read, and compute never reads them.
-    All representatives share the modulus of their op, and, like every
-    point of an op, have all entries divisible by 6; a point that does not
-    lies off the op's lattice and is refused.
+    L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form, which is also
+    checked summed.  All representatives share the modulus of their op,
+    and, like every point of an op, have all entries divisible by 6; a point
+    that does not lies off the op's lattice and is refused.
     """
     reps = [orbit.representative for orbit in orbits.orbits]
     n = reps[0].modulus if reps else OFFSET_MODULUS
     by_direction: list[list[int]] = [[] for _ in range(6)]
+    # the line is every z with cross(x^i, z) = its scalar cross(x^i, point)
+    scalars = []
     for ia, line in enumerate(reps):
         if line.modulus != n:
             raise ValueError(f"lines over the moduli {n} and {line.modulus}")
@@ -196,8 +181,10 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
             raise ValueError(f"the crossing kernel needs entries divisible by 6;"
                              f" orbit {ia} has the point {line.point}")
         by_direction[line.direction].append(ia)
-    points = [line.point for line in reps]
+        scalars.append(cross(XPOW[line.direction], line.point))
     per_orbit: list = [None] * len(reps)
+    # sum over the orbits of L0_p^alpha, indexed by p
+    on_lines = [0] * 8
     # Z[x] key -> [bitmask of the incident orbits, how often it was claimed]
     global_incidence: dict[tuple[int, int, int, int], list[int]] = {}
     for i, alphas in enumerate(by_direction):
@@ -206,13 +193,14 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
         classes = {ia: {} for ia in alphas}
         for j, betas in enumerate(by_direction):
             if j != i and alphas and betas:
-                _claim_crossings(points, n, alphas, betas, i, j, classes)
+                _claim_crossings(scalars, n, alphas, betas, i, j, classes)
         for ia in alphas:
-            # by_p[p] counts alpha's classes of multiplicity p; p is at most 7
+            # by_p[p] counts alpha's classes with p incident orbits, one per direction
             by_p = [0] * 8
+            own = 1 << ia
             for key, claim in classes[ia].items():
-                by_p[1 + (claim & _DIRECTION_BITS).bit_count()] += 1
-                members = claim >> 6 | 1 << ia
+                members = claim >> 6 | own
+                by_p[members.bit_count()] += 1
                 entry = global_incidence.get(key)
                 if entry is None:
                     global_incidence[key] = [members, 1]
@@ -223,11 +211,13 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 else:
                     entry[1] += 1
             for p, count in enumerate(by_p):
-                if count and not P_MIN <= p <= P_MAX:
-                    raise ConsistencyError(f"crossing multiplicity {p} out of range")
+                if count:
+                    if not P_MIN <= p <= P_MAX:
+                        raise ConsistencyError(f"crossing multiplicity {p} out of range")
+                    on_lines[p] += count
             per_orbit[ia] = OrbitPointCount(ia, i, tuple(by_p[P_MIN:P_MAX + 1]))
 
-    l0_by_p = [0] * (P_MAX - P_MIN + 1)
+    l0_by_p = [0] * 8
     for members, claims in global_incidence.values():
         p = members.bit_count()
         if claims != p:
@@ -235,59 +225,64 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                 f"point class claimed {claims} times by {p} incident"
                 " orbits; double counting broken"
             )
-        l0_by_p[p - P_MIN] += 1
+        l0_by_p[p] += 1
 
     for p in range(P_MIN, P_MAX + 1):
-        on_lines = sum(entry.by_p[p - P_MIN] for entry in per_orbit)
-        if on_lines != p * l0_by_p[p - P_MIN]:
+        if on_lines[p] != p * l0_by_p[p]:
             raise ConsistencyError(
-                f"sum of per-line counts at p={p} is {on_lines},"
-                f" not {p} * {l0_by_p[p - P_MIN]}"
+                f"sum of per-line counts at p={p} is {on_lines[p]},"
+                f" not {p} * {l0_by_p[p]}"
             )
 
     l0 = len(global_incidence)
     return IntersectionTables(
         per_orbit=tuple(per_orbit),
         types=_group_types(per_orbit),
-        L0_by_p=tuple(l0_by_p),
+        L0_by_p=tuple(l0_by_p[P_MIN:P_MAX + 1]),
         L0=l0,
-        e=-l0 + sum(entry.total for entry in per_orbit),
+        e=sum(on_lines) - l0,
         incidence=global_incidence,
         modulus=n,
     )
 
 
-def _claim_crossings(points, n: int, alphas, betas, i: int, j: int, classes) -> None:
+def _claim_crossings(scalars, n: int, alphas, betas, i: int, j: int, classes) -> None:
     """Claim the crossings of the direction-j orbits betas on the direction-i
-    representatives alphas, into classes[alpha]: Z[x] key -> claim bits.
-    points holds each representative's int point over n.
+    representatives alphas, into classes[alpha]: Z[x] key -> claim, with bit
+    j for each claiming direction x^j and bit 6 + b for each claiming orbit b.
 
-    A translate of beta crosses alpha at sqrt(3)*alpha.anchor + lam*x^i,
-    where lam is the x^i component of the scaled anchor difference in the
-    chart (x^i, x^j), plus an offset from coset_set(j - i).  The chart is
-    linear, so each point is imaged once (_pair_chart) and the crossing of
-    alpha and beta is a sum of their images, divided by the chart's divisor
-    k.  The division is exact: k is 1, 2 or 3, and build_tables has checked
-    that 6 divides every entry of every point.
-    Each offset then costs four adds and four `% n` and lands on the key.
-    Keying alpha's classes by the Z[x] key instead of by lam mod G loses
-    nothing: lam -> key is injective mod G, because Z[x] meets R*x^i in
-    G*x^i.
+    Lines alpha and beta with scalars s_a, s_b (scalars, over n) cross at
+    (alpha_side.s_a + beta_side.s_b)/k (_pair_chart).  6 divides every
+    scalar, since build_tables has checked every point, so k divides them
+    and each line is imaged once per pass.  The translates of beta cross
+    alpha at that point plus an offset along x^i from coset_set(j - i).
+    Keying alpha's classes by the Z[x] key instead of by the parameter along
+    alpha mod G loses nothing, because Z[x] meets R*x^i in G*x^i.
     """
     alpha_side, beta_side, k, steps = _pair_chart(i, j)
     step = n // OFFSET_MODULUS
-    offsets = [(s0 * step % n, s1 * step % n, s2 * step % n, s3 * step % n)
-               for s0, s1, s2, s3 in steps]
-    crossers = [(1 << j | 1 << 6 + ib, _apply(beta_side, points[ib])) for ib in betas]
+    offsets = [(s0 * step, s1 * step, s2 * step, s3 * step) for s0, s1, s2, s3 in steps]
+    (r0p, r0q), (r1p, r1q), (r2p, r2q), (r3p, r3q) = beta_side
+    crossers = []
+    for ib in betas:
+        p, q = scalars[ib]
+        p //= k
+        q //= k
+        crossers.append((1 << j | 1 << 6 + ib,
+                         r0p * p + r0q * q, r1p * p + r1q * q, r2p * p + r2q * q, r3p * p + r3q * q))
+    (r0p, r0q), (r1p, r1q), (r2p, r2q), (r3p, r3q) = alpha_side
     for ia in alphas:
-        a0, a1, a2, a3 = _apply(alpha_side, points[ia])
+        p, q = scalars[ia]
+        p //= k
+        q //= k
+        a0, a1, a2, a3 = r0p * p + r0q * q, r1p * p + r1q * q, r2p * p + r2q * q, r3p * p + r3q * q
         claims = classes[ia]
-        for bits, (b0, b1, b2, b3) in crossers:
-            u0, u1, u2, u3 = (a0 + b0) // k, (a1 + b1) // k, (a2 + b2) // k, (a3 + b3) // k
+        for bits, b0, b1, b2, b3 in crossers:
+            u0, u1, u2, u3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
             for o0, o1, o2, o3 in offsets:
                 key = ((u0 + o0) % n, (u1 + o1) % n, (u2 + o2) % n, (u3 + o3) % n)
                 claim = claims.get(key, 0)
-                if claim & bits & _DIRECTION_BITS:
+                if claim & bits:
                     raise ConsistencyError(
                         "two orbits of one direction claim the same point class;"
                         " two representatives lie in one orbit"
@@ -297,39 +292,29 @@ def _claim_crossings(points, n: int, alphas, betas, i: int, j: int, classes) -> 
 
 @lru_cache(maxsize=None)
 def _pair_chart(i: int, j: int):
-    """The chart of (x^i, x^j) composed for _claim_crossings.
-
-    With rows, k = _chart(i, j), the first two rows give k*c_i of a point
-    t = c_i*x^i + c_j*x^j.  Returns the 4x4 int matrices `alpha_side` of
-    t -> k*t - k*c_i*x^i and `beta_side` of t -> k*c_i*x^i, k, and the
-    coset_set(j - i) offsets times x^i, over OFFSET_MODULUS.  For lines alpha
-    and beta, (alpha_side.alpha + beta_side.beta) / k = alpha + lam*x^i with
-    lam the c_i of beta - alpha.
+    """Lines of directions x^i and x^j with scalars s_a and s_b cross at
+    (s_a*x^j - s_b*x^i)/det, det = cross(x^i, x^j).  Returns the int 4x2
+    matrices alpha_side of s -> k*s*x^j/det and beta_side of
+    s -> -k*s*x^i/det, the least such k > 0, and the coset_set(j - i)
+    offsets times x^i over OFFSET_MODULUS, reduced into [0, OFFSET_MODULUS).
     """
-    rows, k = _chart(i, j)
-    columns = [xscale(i, rows[0][c], rows[1][c]) for c in range(4)]
-    beta_side = tuple(tuple(col[r] for col in columns) for r in range(4))
-    alpha_side = tuple(tuple(k * (r == c) - beta_side[r][c] for c in range(4))
-                       for r in range(4))
-    steps = tuple(xscale(i, p, q) for p, q in coset_set((j - i) % 6).offsets)
-    return alpha_side, beta_side, k, steps
-
-
-def _apply(matrix, point) -> list[int]:
-    """The int matrix applied to the int point."""
-    a, b, c, d = point
-    return [r0 * a + r1 * b + r2 * c + r3 * d for r0, r1, r2, r3 in matrix]
+    dp, dq = cross(XPOW[i], XPOW[j])
+    norm = dp * dp - 3 * dq * dq
+    # s/det = s*conj(det)*norm/norm^2; the columns image s = 1 and s = sqrt 3
+    cp, cq = dp * norm, -dq * norm
+    sides = [(xscale(k, cp, cq), xscale(k, 3 * cq, cp)) for k in (j, i + 6)]
+    g = gcd(norm * norm, *(x for side in sides for col in side for x in col))
+    alpha_side, beta_side = (tuple((a // g, b // g) for a, b in zip(*side)) for side in sides)
+    steps = tuple(tuple(x % OFFSET_MODULUS for x in xscale(i, p, q))
+                  for p, q in coset_set((j - i) % 6).offsets)
+    return alpha_side, beta_side, norm * norm // g, steps
 
 
 def _group_types(per_orbit) -> tuple[LineType, ...]:
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, list[str]] = {}
     for entry in per_orbit:
-        group = groups.setdefault(entry.by_p, {"n": 0, "parities": set()})
-        group["n"] += 1
-        group["parities"].add("e" if entry.direction % 2 == 0 else "o")
-    rows = []
-    for by_p, group in groups.items():
-        parity = ",".join(sorted(group["parities"]))
-        rows.append(LineType(by_p, group["n"], parity))
+        groups.setdefault(entry.by_p, []).append("eo"[entry.direction % 2])
+    rows = [LineType(by_p, len(parities), ",".join(sorted(set(parities))))
+            for by_p, parities in groups.items()]
     rows.sort(key=lambda row: (-row.total, row.parity, row.by_p))
     return tuple(rows)

@@ -16,6 +16,13 @@ height table.  Each cube split has a cut map, built on first use: its plane
 steps and a 2-row int map taking the scalars (t, r) of a cut to its
 canonical anchor by one checked exact division.  Every orientation, sign and
 range test is an int comparison (qsign); QuadRat appears only in SlicedLine.
+
+The window is the zonotope W = sum_j [0, v_j], v_j = (DELTAS[j], f_(j+1)), so
+W = c - W for c = sum_j v_j, and c - F is a facet of the same kind as F.  The
+plane part (1, 1) of c keeps the family gamma + Z^2 and its internal part
+sum_j f_j lies in DELTA0 = (1/sqrt 3)Z[x], so the slice at -gamma is the
+slice at gamma negated, orbit for orbit and kind by kind (proved).  That the
+non-mixed-sign lines at +-gamma make exactly the candidate orbits is empirical.
 """
 
 from __future__ import annotations

@@ -19,12 +19,14 @@ from tilecohom.lineorbits import (
     GammaParam,
     SingularLine,
     candidate_lines,
+    orbit_key,
     orbit_partition,
     reduce_gamma,
     same_orbit,
 )
 
 from line_helper import f_vector, lines_over
+from test_pointorbits import GRID_6, STRESS_GAMMAS, WORKED_CASES
 
 # orbit counts attainable by the candidate partition
 L1_VALUES = frozenset({6, 9, 12, 15, 18, 21, 24})
@@ -441,3 +443,38 @@ def test_quarter_lattice_samples_lie_in_both_merge_sets():
     ]:
         in_A, _, in_D, _ = _merge_sets(GammaParam(g1, g2))
         assert in_A and in_D
+
+
+# ------------------------------------------------------------- keyed orbits
+
+
+def _shape(orbits):
+    """Each orbit as the identities of its representative and its members."""
+    return [(id(o.representative), [id(m) for m in o.members]) for o in orbits.orbits]
+
+
+def test_keyed_partition_equals_the_pairwise_one():
+    # orbit_key against same_orbit: the same representatives, members in
+    # order and orbit order, on the N = 6 grid, the stress denominators and
+    # shuffled candidates at the worked shifts.
+    rnd = random.Random(21)
+    samples = [candidate_lines(reduce_gamma(raw)) for raw in GRID_6 + STRESS_GAMMAS]
+    for raw, *_ in WORKED_CASES:
+        for _ in range(4):
+            shuffled = candidate_lines(reduce_gamma(raw))
+            rnd.shuffle(shuffled)
+            samples.append(shuffled)
+    for lines in samples:
+        keyed = orbit_partition(lines)
+        assert _shape(keyed) == _shape(orbit_partition(lines, test=same_orbit))
+        for orbit in keyed.orbits:
+            assert {orbit_key(m) for m in orbit.members} == {orbit_key(orbit.representative)}
+
+
+def test_keyed_partition_refuses_two_moduli():
+    # refused whether or not the two lines share a direction
+    [l1] = lines_over([(0, ORIGIN)])
+    for direction in (0, 1):
+        [l2] = lines_over([(direction, ORIGIN)], n=2 * l1.modulus)
+        with pytest.raises(ValueError, match="moduli"):
+            orbit_partition([l1, l2])

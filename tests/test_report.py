@@ -12,6 +12,8 @@ from tilecohom.exactfield import ParseError, QuadRat
 from tilecohom.lineorbits import candidate_lines, orbit_partition, reduce_gamma, same_orbit
 from tilecohom.report import compute, parse_gamma, payload, render
 
+from test_pointorbits import GRID_6, STRESS_GAMMAS
+
 
 def rnd_fraction(rnd):
     return Fraction(rnd.randrange(-40, 40), rnd.randrange(1, 24))
@@ -224,3 +226,30 @@ def test_orbit_partition_calls_its_test():
 
     assert orbit_partition(lines, test=counted) == orbit_partition(lines)
     assert calls
+
+
+def _fields(raw):
+    """The report payload at raw, without its gamma."""
+    out = payload(compute(raw))
+    del out["gamma"]
+    return out
+
+
+def _line_types(fields, flip=False):
+    swap = {"e": "o", "o": "e", "e,o": "e,o"}
+    return sorted((row["n"], swap[row["dir"]] if flip else row["dir"], row["by_p"])
+                  for row in fields["line_types"])
+
+
+def test_gamma_symmetries_keep_the_report():
+    # (g1, g2) -> (-conj g1, conj g2) and gamma -> -gamma keep every field but
+    # gamma; the swap (g2, g1) keeps the counts and ranks and exchanges the
+    # even and odd line types.
+    for g1, g2 in GRID_6[::9] + STRESS_GAMMAS:
+        base = _fields((g1, g2))
+        assert _fields((-g1.conj(), g2.conj())) == base, (g1, g2)
+        assert _fields((-g1, -g2)) == base, (g1, g2)
+        swapped = _fields((g2, g1))
+        for key in ("L1", "L0", "L0_by_p", "sum_L0alpha", "e", "h1", "h2"):
+            assert swapped[key] == base[key], (key, g1, g2)
+        assert _line_types(swapped) == _line_types(base, flip=True), (g1, g2)

@@ -19,6 +19,7 @@ from tilecohom.exactfield import INV_SQRT3, QuadRat
 from tilecohom.lineorbits import (
     GammaParam,
     candidate_lines,
+    orbit_key,
     orbit_partition,
     reduce_gamma,
     same_orbit,
@@ -518,6 +519,30 @@ def test_window_lines_at_plus_and_minus_gamma_are_the_candidate_orbits():
         count = orbit_partition(cand_lines).L1
         assert orbit_partition(win_lines).L1 == count, raw
         assert orbit_partition(lines).L1 == count, raw
+
+
+def test_slice_at_minus_gamma_is_the_slice_at_gamma_negated():
+    # The window's central symmetry (see the window module): the orbit keys
+    # of the slice at -gamma are those at gamma negated, for the whole slice
+    # and for the lines with a source cube that does not mix plane-step signs.
+    mixed = {c.ident for c in enumerate_cubes()
+             if c.kind == "isolated" and len({PLANE_STEP[k][1] for k in c.codes}) > 1}
+    rnd = random.Random(1717)
+
+    def big():
+        return Fraction(rnd.randrange(-10**6, 10**6), rnd.randrange(1, 10**6))
+
+    samples = grid(2) + grid(3) + [(QuadRat(big(), big()), QuadRat(big(), big()))
+                                   for _ in range(20)]
+    for g1, g2 in samples:
+        plus, minus = slice_detailed((g1, g2))[0], slice_detailed((-g1, -g2))[0]
+        lines = lines_over([(l.direction, l.anchor) for l in plus + minus])
+        n = lines[0].modulus
+        for kept in (lambda l: True, lambda l: any(c not in mixed for c, _ in l.sources)):
+            keys_plus = {orbit_key(m) for m, l in zip(lines, plus) if kept(l)}
+            keys_minus = {orbit_key(m) for m, l in zip(lines[len(plus):], minus) if kept(l)}
+            assert keys_plus, (g1, g2)
+            assert keys_minus == {(i, -p % n, -q % n) for i, p, q in keys_plus}, (g1, g2)
 
 
 def test_generic_orbit_count_vs_candidate_list():
