@@ -19,11 +19,14 @@ The crossings of a line alpha of direction x^i with all translates of a line
 beta of direction x^j fall into finitely many classes: one crossing point
 plus offsets along x^i from a fixed finite subgroup of R/G (coset_set below,
 the {0}/A3/A4 pattern, held as int pairs over 6).  A class is held by the
-Z[x] key of its point.  build_tables claims the keys in one pass per ordered
-pair of directions; a global class is held only as the bitmask of its
-incident orbits and the number of claims on it, which is all that L0, e and
-the checks need, and the sorted list of decoded classes
-(IntersectionTables.points) is built from them only when it is read.
+Z[x] key of its point.  build_tables claims the keys in two passes per
+unordered pair of directions {i, j}, one from each side, each into its own
+dict of key -> the bitmask of the two crossing orbits, and requires the two
+dicts to be equal.  A global class is held only as the bitmask of its
+incident orbits (IntersectionTables.incidence), which with the number of
+direction pairs meeting each shared class is all that L0, e and the checks
+need; the sorted list of decoded classes (IntersectionTables.points) is
+built from the bitmasks only when it is read.
 """
 
 from __future__ import annotations
@@ -122,9 +125,10 @@ class LineType(NamedTuple):
 class IntersectionTables(NamedTuple):
     """The counts of build_tables, with the global classes held undecoded.
 
-    incidence maps each class's Z[x] key over modulus to [bitmask of the
-    incident orbits, claim count]; build_tables has checked that every count
-    equals its class's p.  The repr leaves incidence out.
+    incidence maps each class's Z[x] key over modulus to the bitmask of its
+    incident orbits; build_tables has checked that every class was claimed
+    once by each incident orbit from each other one.  The repr leaves
+    incidence out.
     """
 
     per_orbit: tuple[OrbitPointCount, ...]
@@ -132,7 +136,7 @@ class IntersectionTables(NamedTuple):
     L0_by_p: tuple[int, int, int, int, int]
     L0: int
     e: int
-    incidence: dict[tuple[int, int, int, int], list[int]]
+    incidence: dict[tuple[int, int, int, int], int]
     modulus: int
 
     def __repr__(self) -> str:
@@ -148,7 +152,7 @@ class IntersectionTables(NamedTuple):
     def points(self) -> tuple[GlobalClass, ...]:
         """The global classes in key order, decoded on each read."""
         classes = []
-        for key, (members, _) in sorted(self.incidence.items()):
+        for key, members in sorted(self.incidence.items()):
             orbits = tuple(b for b in range(members.bit_length()) if members >> b & 1)
             classes.append(GlobalClass(key, self.modulus, len(orbits), orbits))
         return tuple(classes)
@@ -157,17 +161,43 @@ class IntersectionTables(NamedTuple):
 def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     """Count point orbits per line orbit and globally, with consistency checks.
 
-    One pass per ordered pair of directions (i, j) claims, on every
-    representative alpha of direction i, the Z[x] keys of the classes where
-    translates of the orbits of direction j cross it (_claim_crossings).
-    Distinct orbits of one direction always claim disjoint classes (their
-    offset cosets differ), which the code verifies rather than assumes.
-    Each global class must then be claimed exactly once per incident orbit,
-    with one line set — that is the double-counting identity
-    L0 = sum_p (sum_alpha L0_p^alpha) / p in per-class form, which is also
-    checked summed.  All representatives share the modulus of their op,
-    and, like every point of an op, have all entries divisible by 6; a point
-    that does not lies off the op's lattice and is refused.
+    Each unordered pair of directions {i, j} gets two passes: pass (i, j)
+    claims, on every representative alpha of direction i, the Z[x] keys of
+    the classes where translates of the orbits beta of direction j cross it
+    (_claim_pass), and pass (j, i) the same from the other side.  Each pass
+    fills its own dict, key -> 1 << alpha | 1 << beta, and all the pairs'
+    forward dicts are ORed into one incidence, key -> bitmask of the
+    incident orbits.  All representatives share the modulus of their op,
+    and, like every point of an op, have all entries divisible by 6; a
+    point that does not lies off the op's lattice and is refused.
+
+    The checks, each against the per-class check of the one-pass-per-alpha
+    kernel it replaces:
+
+    - no two claims of one alpha from one direction on one class -> a pass
+      dict holds as many keys as its pass made claims;
+    - every claimer of a class sees one line set -> the two passes of a
+      pair are equal dicts, and a class shared by several direction pairs
+      is met by exactly p(p-1)/2 of them, p its number of incident orbits;
+    - every class claimed p times -> the same p(p-1)/2 count (a class met
+      by one pair has p = 2 and is claimed once from each side);
+    - 2 <= p <= 6 -> checked on every shared class (an unshared one has
+      p = 2);
+    - the summed double-counting identity -> sum over the orbits of their
+      claims == sum_p p(p-1) L0_p.
+
+    Given the same claims, these hold exactly when the old checks hold.
+    The old ones say that the ordered claims on each class are every
+    ordered pair of its incident orbits once, one orbit per direction.
+    That gives equal passes, one claim per key and pass, and one meeting
+    per pair of incident orbits, from pairs of distinct directions.
+    Conversely, the edges {alpha, beta} that the pairs meeting a class
+    contribute are distinct, since their direction pairs are; p(p-1)/2
+    distinct edges on p orbits make the complete graph, so no two incident
+    orbits share a direction (passes never join one direction to itself),
+    p <= 6, and the equal passes claim every edge from both sides, each
+    once.  An orbit then claims p - 1 times on each of its classes, so its
+    p = 2 count is its claims less sum (p - 1) over its shared classes.
     """
     reps = [orbit.representative for orbit in orbits.orbits]
     n = reps[0].modulus if reps else OFFSET_MODULUS
@@ -182,74 +212,82 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
                              f" orbit {ia} has the point {line.point}")
         by_direction[line.direction].append(ia)
         scalars.append(cross(XPOW[line.direction], line.point))
-    per_orbit: list = [None] * len(reps)
-    # sum over the orbits of L0_p^alpha, indexed by p
-    on_lines = [0] * 8
-    # Z[x] key -> [bitmask of the incident orbits, how often it was claimed]
-    global_incidence: dict[tuple[int, int, int, int], list[int]] = {}
+    # the claims each orbit of direction i makes as alpha
+    claimed = [0] * 6
+    # Z[x] key -> bitmask of the incident orbits
+    incidence: dict[tuple[int, int, int, int], int] = {}
+    # key of a class met by more than one direction pair -> how many meet it
+    shared: dict[tuple[int, int, int, int], int] = {}
     for i, alphas in enumerate(by_direction):
-        # Each direction's classes are folded into global_incidence as soon
-        # as its passes are done, so only one direction's keys are held.
-        classes = {ia: {} for ia in alphas}
-        for j, betas in enumerate(by_direction):
-            if j != i and alphas and betas:
-                _claim_crossings(scalars, n, alphas, betas, i, j, classes)
-        for ia in alphas:
-            # by_p[p] counts alpha's classes with p incident orbits, one per direction
-            by_p = [0] * 8
-            own = 1 << ia
-            for key, claim in classes[ia].items():
-                members = claim >> 6 | own
-                by_p[members.bit_count()] += 1
-                entry = global_incidence.get(key)
-                if entry is None:
-                    global_incidence[key] = [members, 1]
-                elif entry[0] != members:
-                    raise ConsistencyError(
-                        "one point class reached with two different line sets"
-                    )
-                else:
-                    entry[1] += 1
-            for p, count in enumerate(by_p):
-                if count:
-                    if not P_MIN <= p <= P_MAX:
-                        raise ConsistencyError(f"crossing multiplicity {p} out of range")
-                    on_lines[p] += count
-            per_orbit[ia] = OrbitPointCount(ia, i, tuple(by_p[P_MIN:P_MAX + 1]))
+        for j in range(i + 1, 6):
+            betas = by_direction[j]
+            if not (alphas and betas):
+                continue
+            forward: dict[tuple[int, int, int, int], int] = {}
+            backward: dict[tuple[int, int, int, int], int] = {}
+            each = _claim_pass(scalars, n, alphas, betas, i, j, forward)
+            if len(forward) != len(alphas) * each:
+                raise _repeat(scalars, n, alphas, betas, i, j)
+            claimed[i] += each
+            each = _claim_pass(scalars, n, betas, alphas, j, i, backward)
+            if len(backward) != len(betas) * each:
+                raise _repeat(scalars, n, betas, alphas, j, i)
+            claimed[j] += each
+            if forward != backward:
+                raise _disagreement(scalars, n, by_direction, i, j, forward, backward)
+            for key in forward.keys() & incidence.keys():
+                shared[key] = shared.get(key, 1) + 1
+                forward[key] |= incidence[key]
+            incidence.update(forward)
 
+    # per orbit: count of its shared classes by p, and their sum of p - 1
+    by_p = [[0] * 8 for _ in reps]
+    excess = [0] * len(reps)
     l0_by_p = [0] * 8
-    for members, claims in global_incidence.values():
+    for key, meets in shared.items():
+        members = incidence[key]
         p = members.bit_count()
-        if claims != p:
-            raise ConsistencyError(
-                f"point class claimed {claims} times by {p} incident"
-                " orbits; double counting broken"
-            )
+        if meets != p * (p - 1) // 2:
+            raise _fault(f"point class met by {meets} direction pairs with {p}"
+                         " incident orbits; double counting broken",
+                         *_first_meeting(scalars, n, by_direction, {key}), n)
+        if not P_MIN <= p <= P_MAX:
+            raise _fault(f"crossing multiplicity {p} out of range",
+                         *_first_meeting(scalars, n, by_direction, {key}), n)
         l0_by_p[p] += 1
+        for ia in range(members.bit_length()):
+            if members >> ia & 1:
+                by_p[ia][p] += 1
+                excess[ia] += p - 1
+    l0_by_p[2] = len(incidence) - len(shared)
+    for ia, line in enumerate(reps):
+        by_p[ia][2] = claimed[line.direction] - excess[ia]
 
-    for p in range(P_MIN, P_MAX + 1):
-        if on_lines[p] != p * l0_by_p[p]:
-            raise ConsistencyError(
-                f"sum of per-line counts at p={p} is {on_lines[p]},"
-                f" not {p} * {l0_by_p[p]}"
-            )
+    total = sum(claimed[i] * len(alphas) for i, alphas in enumerate(by_direction))
+    expected = sum(p * (p - 1) * count for p, count in enumerate(l0_by_p))
+    if total != expected:
+        raise ConsistencyError(
+            f"sum of per-line claims is {total}, not sum_p p(p-1)*L0_p = {expected}"
+        )
 
-    l0 = len(global_incidence)
+    per_orbit = [OrbitPointCount(ia, line.direction, tuple(by_p[ia][P_MIN:P_MAX + 1]))
+                 for ia, line in enumerate(reps)]
+    l0 = len(incidence)
     return IntersectionTables(
         per_orbit=tuple(per_orbit),
         types=_group_types(per_orbit),
         L0_by_p=tuple(l0_by_p[P_MIN:P_MAX + 1]),
         L0=l0,
-        e=sum(on_lines) - l0,
-        incidence=global_incidence,
+        e=sum(p * count for p, count in enumerate(l0_by_p)) - l0,
+        incidence=incidence,
         modulus=n,
     )
 
 
-def _claim_crossings(scalars, n: int, alphas, betas, i: int, j: int, classes) -> None:
+def _claim_pass(scalars, n: int, alphas, betas, i: int, j: int, claims) -> int:
     """Claim the crossings of the direction-j orbits betas on the direction-i
-    representatives alphas, into classes[alpha]: Z[x] key -> claim, with bit
-    j for each claiming direction x^j and bit 6 + b for each claiming orbit b.
+    representatives alphas into claims: Z[x] key -> 1 << alpha | 1 << beta.
+    Returns the number of claims made on each alpha.
 
     Lines alpha and beta with scalars s_a, s_b (scalars, over n) cross at
     (alpha_side.s_a + beta_side.s_b)/k (_pair_chart).  6 divides every
@@ -261,33 +299,85 @@ def _claim_crossings(scalars, n: int, alphas, betas, i: int, j: int, classes) ->
     """
     alpha_side, beta_side, k, steps = _pair_chart(i, j)
     step = n // OFFSET_MODULUS
-    offsets = [(s0 * step, s1 * step, s2 * step, s3 * step) for s0, s1, s2, s3 in steps]
     (r0p, r0q), (r1p, r1q), (r2p, r2q), (r3p, r3q) = beta_side
+    # each beta's crossing image plus each offset, with beta's bit
     crossers = []
     for ib in betas:
         p, q = scalars[ib]
         p //= k
         q //= k
-        crossers.append((1 << j | 1 << 6 + ib,
-                         r0p * p + r0q * q, r1p * p + r1q * q, r2p * p + r2q * q, r3p * p + r3q * q))
+        bit = 1 << ib
+        b0, b1, b2, b3 = r0p * p + r0q * q, r1p * p + r1q * q, r2p * p + r2q * q, r3p * p + r3q * q
+        for s0, s1, s2, s3 in steps:
+            crossers.append((bit, b0 + s0 * step, b1 + s1 * step, b2 + s2 * step, b3 + s3 * step))
     (r0p, r0q), (r1p, r1q), (r2p, r2q), (r3p, r3q) = alpha_side
     for ia in alphas:
         p, q = scalars[ia]
         p //= k
         q //= k
         a0, a1, a2, a3 = r0p * p + r0q * q, r1p * p + r1q * q, r2p * p + r2q * q, r3p * p + r3q * q
-        claims = classes[ia]
-        for bits, b0, b1, b2, b3 in crossers:
-            u0, u1, u2, u3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
-            for o0, o1, o2, o3 in offsets:
-                key = ((u0 + o0) % n, (u1 + o1) % n, (u2 + o2) % n, (u3 + o3) % n)
-                claim = claims.get(key, 0)
-                if claim & bits:
-                    raise ConsistencyError(
-                        "two orbits of one direction claim the same point class;"
-                        " two representatives lie in one orbit"
-                    )
-                claims[key] = claim | bits
+        own = 1 << ia
+        for bit, b0, b1, b2, b3 in crossers:
+            claims[(a0 + b0) % n, (a1 + b1) % n, (a2 + b2) % n, (a3 + b3) % n] = own | bit
+    return len(betas) * len(steps)
+
+
+def _fault(message: str, pair, key, n: int) -> ConsistencyError:
+    return ConsistencyError(f"{message}; directions {pair}, class {key}/{n}")
+
+
+class _ClaimOnce(dict):
+    """Pass claims that stop at the first key claimed twice."""
+
+    def __setitem__(self, key, bits):
+        if key in self:
+            raise LookupError(key)
+        dict.__setitem__(self, key, bits)
+
+
+def _repeat(scalars, n, alphas, betas, i, j) -> ConsistencyError:
+    """Failure path: redo pass (i, j) to name a key it claimed twice."""
+    try:
+        _claim_pass(scalars, n, alphas, betas, i, j, _ClaimOnce())
+    except LookupError as repeat:
+        return _fault("two orbits of one direction claim the same point class;"
+                      " two representatives lie in one orbit", (i, j), repeat.args[0], n)
+    raise AssertionError(f"pass {(i, j)} claimed no key twice when redone")
+
+
+def _first_meeting(scalars, n, by_direction, keys, skip=None):
+    """Failure path: the first ordered direction pair, {i, j} = skip aside,
+    whose pass claims one of keys, with the least such key; or None."""
+    for i, alphas in enumerate(by_direction):
+        for j, betas in enumerate(by_direction):
+            if i != j and alphas and betas and {i, j} != skip:
+                claims: dict = {}
+                _claim_pass(scalars, n, alphas, betas, i, j, claims)
+                met = claims.keys() & keys
+                if met:
+                    return (i, j), min(met)
+    return None
+
+
+def _disagreement(scalars, n, by_direction, i, j, forward, backward) -> ConsistencyError:
+    """Failure path: passes (i, j) and (j, i) are not equal dicts.
+
+    A key the two passes give different line sets, or that only one of them
+    claims while another direction pair also meets it (a class of p >= 3),
+    is reached with two different line sets; a key of one side only that no
+    other pair meets is a p = 2 class claimed once.
+    """
+    differ = [key for key in forward.keys() & backward.keys() if forward[key] != backward[key]]
+    if differ:
+        return _fault("one point class reached with two different line sets",
+                      (i, j), min(differ), n)
+    one_sided = forward.keys() ^ backward.keys()
+    met = _first_meeting(scalars, n, by_direction, one_sided, skip={i, j})
+    if met is not None:
+        return _fault("one point class reached with two different line sets",
+                      (i, j), met[1], n)
+    return _fault("point class claimed from one side of its direction pair only;"
+                  " double counting broken", (i, j), min(one_sided), n)
 
 
 @lru_cache(maxsize=None)

@@ -428,3 +428,43 @@ def test_checks_run_before_the_points_are_read(monkeypatch, kept, message):
         orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
         with pytest.raises(ConsistencyError, match=message):
             build_tables(orbits)
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(6) for j in range(6) if i != j])
+def test_every_ordered_pass_is_checked(monkeypatch, i, j):
+    # Each of the 30 ordered passes is computed and compared on its own:
+    # one pass that loses its last offset, the others intact, is refused at
+    # gamma = 0 and at a generic shift, with its direction pair named.
+    chart = tilecohom.pointorbits._pair_chart
+    alpha_side, beta_side, k, steps = chart(i, j)
+
+    def truncated(a, b):
+        if (a, b) == (i, j):
+            return alpha_side, beta_side, k, steps[:-1]
+        return chart(a, b)
+
+    monkeypatch.setattr(tilecohom.pointorbits, "_pair_chart", truncated)
+    named = r"directions \(%d, %d\)" % (min(i, j), max(i, j))
+    for raw in ((q(0), q(0)), GENERIC_GAMMA):
+        orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
+        with pytest.raises(ConsistencyError, match=named):
+            build_tables(orbits)
+
+
+def test_a_crossing_lost_from_both_sides_is_refused(monkeypatch):
+    # Both passes of the pair {0, 3} lose their zero offset: the two dicts
+    # still agree, but a shared class (p = 6 at gamma = 0, p = 4 at the
+    # generic shift) is then met by too few direction pairs.
+    chart = tilecohom.pointorbits._pair_chart
+
+    def truncated(i, j):
+        alpha_side, beta_side, k, steps = chart(i, j)
+        if {i, j} == {0, 3}:
+            return alpha_side, beta_side, k, steps[1:]
+        return alpha_side, beta_side, k, steps
+
+    monkeypatch.setattr(tilecohom.pointorbits, "_pair_chart", truncated)
+    for raw in ((q(0), q(0)), GENERIC_GAMMA):
+        orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
+        with pytest.raises(ConsistencyError, match="direction pairs with .* double counting broken"):
+            build_tables(orbits)

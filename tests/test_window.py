@@ -22,7 +22,6 @@ from tilecohom.lineorbits import (
     orbit_key,
     orbit_partition,
     reduce_gamma,
-    same_orbit,
 )
 from tilecohom.window import (
     CODE_STEP,
@@ -327,10 +326,11 @@ def test_axis_gamma_odd_direction_orbits():
             (d, pt_scale_mul(xpow(d + 4), -coeff)),
         ])
         sung, targets = sung[:6], sung[6:]
-        orbits = orbit_partition(sung, test=same_orbit).orbits
+        orbits = orbit_partition(sung).orbits
         assert len(orbits) == 3
+        keys = [orbit_key(o.representative) for o in orbits]
         for t in targets:
-            assert sum(1 for o in orbits if same_orbit(o.representative, t)) == 1
+            assert keys.count(orbit_key(t)) == 1
 
 
 def test_zero_gamma_slice():
@@ -342,7 +342,8 @@ def test_zero_gamma_slice():
         counts[l.direction] = counts.get(l.direction, 0) + 1
     assert counts == {d: 4 for d in range(6)}
     for l in lines:
-        assert same_orbit(*lines_over([(l.direction, l.anchor), (l.direction, ORIGIN)]))
+        line, origin = lines_over([(l.direction, l.anchor), (l.direction, ORIGIN)])
+        assert orbit_key(line) == orbit_key(origin)
 
 
 def test_canonical_anchor_kills_direction_component():
@@ -366,14 +367,8 @@ def test_canonical_anchor_kills_direction_component():
 
 def _orbit_equivalent_linesets(lines_a, lines_b):
     """Every line of either set lies in the orbit of a same-direction line
-    of the other."""
-    for a in lines_a:
-        if not any(b.direction == a.direction and same_orbit(a, b) for b in lines_b):
-            return False
-    for b in lines_b:
-        if not any(a.direction == b.direction and same_orbit(a, b) for a in lines_a):
-            return False
-    return True
+    of the other: both sets meet the same orbit keys."""
+    return {orbit_key(a) for a in lines_a} == {orbit_key(b) for b in lines_b}
 
 
 def cut_line_forms(gamma):
@@ -554,10 +549,11 @@ def test_generic_orbit_count_vs_candidate_list():
     lines, incidences = slice_detailed(gamma.pair())
     cands = candidate_lines(gamma)
     sung = lines_over([(l.direction, l.anchor) for l in lines], n=cands[0].modulus)
-    slice_orbits = orbit_partition(sung, test=same_orbit)
+    slice_orbits = orbit_partition(sung)
     assert len(slice_orbits.orbits) == 18
-    cand_orbits = orbit_partition(list(cands), test=same_orbit)
+    cand_orbits = orbit_partition(list(cands))
     assert len(cand_orbits.orbits) == 24
+    cand_keys = {orbit_key(c) for c in cands}
 
     cubes = {c.ident: c for c in enumerate_cubes()}
     mixed_ids = {
@@ -565,10 +561,7 @@ def test_generic_orbit_count_vs_candidate_list():
         if c.kind == "isolated" and len({PLANE_STEP[k][1] for k in c.codes}) > 1}
     line_sources = {(l.direction, l.anchor): l.sources for l in lines}
     for orbit in slice_orbits.orbits:
-        matched = any(
-            c.direction == orbit.representative.direction
-            and same_orbit(orbit.representative, c)
-            for c in cands)
+        matched = orbit_key(orbit.representative) in cand_keys
         sources = set()
         for member in orbit.members:
             sources |= {ident for ident, _ in line_sources[(member.direction, member.anchor)]}
