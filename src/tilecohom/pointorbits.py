@@ -198,6 +198,11 @@ def build_tables(orbits: LineOrbitSet) -> IntersectionTables:
     p <= 6, and the equal passes claim every edge from both sides, each
     once.  An orbit then claims p - 1 times on each of its classes, so its
     p = 2 count is its claims less sum (p - 1) over its shared classes.
+
+    As in the old kernel, the range and summed checks cannot fail once the
+    others pass: p <= 6 follows as above, and the claims of all passes are
+    twice the meetings, sum over the classes of p(p-1).  They stay as
+    guards on the tallies, which they compare with the claim counts.
     """
     reps = [orbit.representative for orbit in orbits.orbits]
     n = reps[0].modulus if reps else OFFSET_MODULUS
