@@ -1,4 +1,4 @@
-"""Acceptance suite: one checker per acceptance criterion, exact comparisons.
+"""Acceptance suite: twelve criteria, exact comparisons; criteria 4-11 read one table.
 
 Also home of the closed-form crossing-class reference lists that the
 pointorbits engine is checked against (criterion 12 and the unit tests).
@@ -19,7 +19,7 @@ from .lineorbits import (
     orbit_partition,
     reduce_gamma,
 )
-from .pointorbits import build_tables
+from .pointorbits import ConsistencyError, build_tables
 from .report import compute
 from .window import enumerate_cubes, slice_detailed, verify_counts
 
@@ -177,8 +177,20 @@ class CriterionResult(NamedTuple):
     detail: str = ""
 
 
-def _result(number, title, failures):
-    return CriterionResult(number, title, not failures, "; ".join(failures))
+def _criterion(number, title):
+    """Make body(failures) a checker that returns its CriterionResult.
+
+    The checker carries its title, so `run_all` can name a criterion that
+    raised instead of returning.
+    """
+    def wrap(body):
+        def check() -> CriterionResult:
+            failures = []
+            body(failures)
+            return CriterionResult(number, title, not failures, "; ".join(failures))
+        check.title = title
+        return check
+    return wrap
 
 
 def _expect(failures, label, got, want):
@@ -186,8 +198,8 @@ def _expect(failures, label, got, want):
         failures.append(f"{label}: got {got!r}, want {want!r}")
 
 
-def criterion_1() -> CriterionResult:
-    failures = []
+@_criterion(1, "window combinatorics")
+def criterion_1(failures):
     start = time.perf_counter()
     counts = verify_counts()
     elapsed = time.perf_counter() - start
@@ -202,11 +214,10 @@ def criterion_1() -> CriterionResult:
     _expect(failures, "all checks", counts["ok"], True)
     if elapsed >= 5.0:
         failures.append(f"window verification took {elapsed:.1f}s (budget 5s)")
-    return _result(1, "window combinatorics", failures)
 
 
-def criterion_2() -> CriterionResult:
-    failures = []
+@_criterion(2, "slicing census")
+def criterion_2(failures):
     _, incidences = slice_detailed((_q(Fraction(1, 5)), _q(Fraction(1, 7))))
     _expect(failures, "incidences at (1/5,1/7)", len(incidences), 72)
     cubes = {c.ident: c for c in enumerate_cubes()}
@@ -214,11 +225,10 @@ def criterion_2() -> CriterionResult:
     longs = {i for i, _ in incidences if cubes[i].kind == "long"}
     _expect(failures, "sliced long cubes at (0,1/5)", len(longs), 2)
     _expect(failures, "long cube codes", {cubes[i].codes for i in longs}, {(1, 5, 9)})
-    return _result(2, "slicing census", failures)
 
 
-def criterion_3() -> CriterionResult:
-    failures = []
+@_criterion(3, "homological constants")
+def criterion_3(failures):
     info = rank_and_cokernel()
     _expect(failures, "R", info["R"], 3)
     nonzero = tuple(f for f in info["factors"] if f)
@@ -226,135 +236,88 @@ def criterion_3() -> CriterionResult:
     _expect(failures, "torsion-free", info["torsion_free"], True)
     factors = smith(beta_matrix()).factors
     _expect(failures, "smith of beta", factors, info["factors"])
-    return _result(3, "homological constants", failures)
 
 
-def _pipeline(failures, g1, g2):
-    report = compute((g1, g2))
-    if report.timing >= 60.0:
-        failures.append(f"pipeline took {report.timing:.1f}s (budget 60s)")
-    return report
+#: How each label of a pinned paper value is read off a CohomologyReport.
+READERS = {
+    "L1": lambda r: r.L1,
+    "sum L0^a": lambda r: r.sum_L0alpha,
+    "L0": lambda r: r.L0,
+    "e": lambda r: r.e,
+    "ranks": lambda r: (r.h0, r.h1, r.h2),
+    "rk H2": lambda r: r.h2,
+    "profile": lambda r: [(t.n, t.by_p) for t in r.line_type_table],
+    "type totals": lambda r: sorted((t.total for t in r.line_type_table), reverse=True),
+    "odd type totals": lambda r: sorted(
+        (t.total for t in r.line_type_table if t.parity == "o"), reverse=True),
+}
 
 
-def criterion_4() -> CriterionResult:
-    failures = []
-    report = _pipeline(failures, _q(0), _q(0))
-    _expect(failures, "L1", report.L1, 6)
-    _expect(failures, "sum L0^a", report.sum_L0alpha, 36)
-    _expect(failures, "L0", report.L0, 14)
-    _expect(failures, "e", report.e, 22)
-    _expect(failures, "ranks", (report.h0, report.h1, report.h2), (1, 7, 28))
-    rows = [(t.n, t.by_p) for t in report.line_type_table]
-    _expect(failures, "profile", rows, [(6, (3, 2, 0, 0, 1))])
-    return _result(4, "gamma = (0,0)", failures)
+class PinnedCase(NamedTuple):
+    """One worked γ: conditions (label, test(g1, g2), want) and {label: paper value}.
+
+    `prefix` starts every label of the case, to tell apart two γ of one criterion.
+    """
+
+    gamma: tuple[QuadRat, QuadRat]
+    values: dict
+    conditions: tuple = ()
+    prefix: str = ""
 
 
-def criterion_5() -> CriterionResult:
-    failures = []
-    report = _pipeline(failures, _q(0), _q(Fraction(1, 2)))
-    _expect(failures, "L1", report.L1, 9)
-    _expect(failures, "sum L0^a", report.sum_L0alpha, 90)
-    _expect(failures, "L0", report.L0, 36)
-    _expect(failures, "e", report.e, 54)
-    _expect(failures, "rk H2", report.h2, 63)
-    totals = sorted((t.total for t in report.line_type_table), reverse=True)
-    _expect(failures, "type totals", totals, [12, 10, 8])
-    return _result(5, "gamma = (0,1/2)", failures)
+#: Criteria 4-11 as (number, title, cases): the paper's values at the worked γ.
+PINNED = (
+    (4, "gamma = (0,0)", (PinnedCase((_q(0), _q(0)), {
+        "L1": 6, "sum L0^a": 36, "L0": 14, "e": 22, "ranks": (1, 7, 28),
+        "profile": [(6, (3, 2, 0, 0, 1))]}),)),
+    (5, "gamma = (0,1/2)", (PinnedCase((_q(0), _H), {
+        "L1": 9, "sum L0^a": 90, "L0": 36, "e": 54, "rk H2": 63,
+        "type totals": [12, 10, 8]}),)),
+    (6, "gamma = (√3/3,0)", (PinnedCase((INV_SQRT3, _q(0)), {
+        "L1": 9, "sum L0^a": 99, "L0": 43, "e": 56, "rk H2": 65}),)),
+    (7, "gamma = (√3/3,√3/3)", (PinnedCase((INV_SQRT3, INV_SQRT3), {
+        "L1": 12, "sum L0^a": 180, "L0": 80, "e": 100, "rk H2": 112,
+        "profile": [(12, (12, 1, 0, 0, 2))]}),)),
+    (8, "gamma = (√3/3,1/3)", (PinnedCase((INV_SQRT3, _R13), {"L0": 78, "rk H2": 114}, (
+        ("2g1+√3 g2 in G",
+         lambda g1, g2: lattice_member(g1 * _q(2) + g2 * SQRT3, LatticeId.G), True),
+        ("g2 outside (1/(2√3))G",
+         lambda g1, g2: lattice_member(g2, LatticeId.INV_2SQRT3_G), False),
+    )),)),
+    (9, "gamma = (0,√3/6)", (PinnedCase((_q(0), _S16), {
+        "L0": 78, "rk H2": 114, "odd type totals": [14, 10]}),)),
+    # ((√3+1)/2)G is (√3−1)⁻¹G, since (√3+1)(√3−1) = 2.
+    (10, "gamma = (1/2,√3/2) and (1/2,(1+√3)/2)", (
+        PinnedCase((_H, _S12), {"L0": 56, "e": 88, "rk H2": 100}, (
+            ("g1+g2 in ((√3+1)/2)G",
+             lambda g1, g2: lattice_member((g1 + g2) * _q(-1, 1), LatticeId.G), True),
+        )),
+        PinnedCase((_H, _H + _S12), {"L0": 99, "e": 117, "rk H2": 129}, (
+            ("g1+g2 outside ((√3+1)/2)G",
+             lambda g1, g2: lattice_member((g1 + g2) * _q(-1, 1), LatticeId.G), False),
+        ), "second "),
+    )),
+    (11, "generic sample gamma", (PinnedCase(
+        (_q(Fraction(1, 7), Fraction(1, 11)), _q(Fraction(1, 13), Fraction(1, 17))), {
+            "L1": 24, "sum L0^a": 1056, "L0": 516, "e": 540, "ranks": (1, 25, 564),
+            "profile": [(24, (42, 0, 2, 0, 0))]}),)),
+)
 
 
-def criterion_6() -> CriterionResult:
-    failures = []
-    report = _pipeline(failures, _q(0, Fraction(1, 3)), _q(0))
-    _expect(failures, "L1", report.L1, 9)
-    _expect(failures, "sum L0^a", report.sum_L0alpha, 99)
-    _expect(failures, "L0", report.L0, 43)
-    _expect(failures, "e", report.e, 56)
-    _expect(failures, "rk H2", report.h2, 65)
-    return _result(6, "gamma = (√3/3,0)", failures)
-
-
-def criterion_7() -> CriterionResult:
-    failures = []
-    report = _pipeline(failures, _q(0, Fraction(1, 3)), _q(0, Fraction(1, 3)))
-    _expect(failures, "L1", report.L1, 12)
-    _expect(failures, "sum L0^a", report.sum_L0alpha, 180)
-    _expect(failures, "L0", report.L0, 80)
-    _expect(failures, "e", report.e, 100)
-    _expect(failures, "rk H2", report.h2, 112)
-    rows = [(t.n, t.by_p) for t in report.line_type_table]
-    _expect(failures, "profile", rows, [(12, (12, 1, 0, 0, 2))])
-    return _result(7, "gamma = (√3/3,√3/3)", failures)
-
-
-def criterion_8() -> CriterionResult:
-    failures = []
-    g1, g2 = _q(0, Fraction(1, 3)), _q(Fraction(1, 3))
-    member = lattice_member(g1 * _q(2) + g2 * SQRT3, LatticeId.G)
-    _expect(failures, "2g1+√3 g2 in G", member, True)
-    _expect(failures, "g2 outside (1/(2√3))G",
-            lattice_member(g2, LatticeId.INV_2SQRT3_G), False)
-    report = _pipeline(failures, g1, g2)
-    _expect(failures, "L0", report.L0, 78)
-    _expect(failures, "rk H2", report.h2, 114)
-    return _result(8, "gamma = (√3/3,1/3)", failures)
-
-
-def criterion_9() -> CriterionResult:
-    failures = []
-    report = _pipeline(failures, _q(0), _q(0, Fraction(1, 6)))
-    _expect(failures, "L0", report.L0, 78)
-    _expect(failures, "rk H2", report.h2, 114)
-    odd_totals = sorted(
-        (t.total for t in report.line_type_table if t.parity == "o"),
-        reverse=True,
-    )
-    _expect(failures, "odd type totals", odd_totals, [14, 10])
-    return _result(9, "gamma = (0,√3/6)", failures)
-
-
-def _in_half_one_plus_sqrt3_g(value: QuadRat) -> bool:
-    # ((√3+1)/2)G = {((a+3b) + (a+b)√3)/2}: doubled coordinates are integers
-    # of equal parity.
-    doubled = value * _q(2)
-    p, q = doubled.p, doubled.q
-    if p.denominator != 1 or q.denominator != 1:
-        return False
-    return (p.numerator - q.numerator) % 2 == 0
-
-
-def criterion_10() -> CriterionResult:
-    failures = []
-    g1, g2 = _q(Fraction(1, 2)), _q(0, Fraction(1, 2))
-    _expect(failures, "g1+g2 in ((√3+1)/2)G",
-            _in_half_one_plus_sqrt3_g(g1 + g2), True)
-    report = _pipeline(failures, g1, g2)
-    _expect(failures, "L0", report.L0, 56)
-    _expect(failures, "e", report.e, 88)
-    _expect(failures, "rk H2", report.h2, 100)
-    g1, g2 = _q(Fraction(1, 2)), _q(Fraction(1, 2), Fraction(1, 2))
-    _expect(failures, "second g1+g2 outside ((√3+1)/2)G",
-            _in_half_one_plus_sqrt3_g(g1 + g2), False)
-    report = _pipeline(failures, g1, g2)
-    _expect(failures, "second L0", report.L0, 99)
-    _expect(failures, "second e", report.e, 117)
-    _expect(failures, "second rk H2", report.h2, 129)
-    return _result(10, "gamma = (1/2,√3/2) and (1/2,(1+√3)/2)", failures)
-
-
-def criterion_11() -> CriterionResult:
-    failures = []
-    report = _pipeline(
-        failures, _q(Fraction(1, 7), Fraction(1, 11)),
-        _q(Fraction(1, 13), Fraction(1, 17)),
-    )
-    _expect(failures, "L1", report.L1, 24)
-    _expect(failures, "sum L0^a", report.sum_L0alpha, 1056)
-    _expect(failures, "L0", report.L0, 516)
-    _expect(failures, "e", report.e, 540)
-    _expect(failures, "ranks", (report.h0, report.h1, report.h2), (1, 25, 564))
-    rows = [(t.n, t.by_p) for t in report.line_type_table]
-    _expect(failures, "profile", rows, [(24, (42, 0, 2, 0, 0))])
-    return _result(11, "generic sample gamma", failures)
+def _pinned_criterion(number, title, cases):
+    """The checker of one PINNED row: per case, its conditions, then the pipeline."""
+    @_criterion(number, title)
+    def check(failures):
+        for case in cases:
+            g1, g2 = case.gamma
+            for label, test, want in case.conditions:
+                _expect(failures, case.prefix + label, test(g1, g2), want)
+            report = compute((g1, g2))
+            if report.timing >= 60.0:
+                failures.append(f"pipeline took {report.timing:.1f}s (budget 60s)")
+            for label, want in case.values.items():
+                _expect(failures, case.prefix + label, READERS[label](report), want)
+    return check
 
 
 L1_REGION_SAMPLES = (
@@ -372,8 +335,8 @@ L1_REGION_SAMPLES = (
 )
 
 
-def criterion_12() -> CriterionResult:
-    failures = []
+@_criterion(12, "property suites")
+def criterion_12(failures):
     for raw, want in L1_REGION_SAMPLES:
         gamma = reduce_gamma(raw)
         got = orbit_partition(candidate_lines(gamma)).L1
@@ -407,21 +370,24 @@ def criterion_12() -> CriterionResult:
                 failures.append(
                     f"double counting at p={p}, gamma=({gamma.g1}, {gamma.g2})"
                 )
-    return _result(12, "property suites", failures)
 
 
 CRITERIA = (
-    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-    criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-    criterion_11, criterion_12,
+    criterion_1, criterion_2, criterion_3,
+    *(_pinned_criterion(*row) for row in PINNED),
+    criterion_12,
 )
 
 
 def run_all(stream=None) -> bool:
     """Run every criterion, print one pass/fail line each, return overall."""
     all_ok = True
-    for check in CRITERIA:
-        result = check()
+    for number, check in enumerate(CRITERIA, 1):
+        try:
+            result = check()
+        except (ConsistencyError, AssertionError, ValueError) as exc:
+            result = CriterionResult(number, check.title, False,
+                                     f"{type(exc).__name__}: {exc}")
         line = f"{'PASS' if result.ok else 'FAIL'} criterion {result.number}: {result.title}"
         if result.detail:
             line += f" [{result.detail}]"

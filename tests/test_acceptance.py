@@ -1,84 +1,48 @@
 """Acceptance gate: one test per acceptance criterion, exact values, zero tolerance.
 
-Each test runs the matching checker from tilecohom.accept and reports its
-failure detail verbatim, so `pytest -v` gives one pass/fail line per criterion.
+Each criterion test runs the matching checker of tilecohom.accept.CRITERIA
+and reports its failure detail verbatim, so `pytest -v` gives one pass/fail
+line per criterion.  The tests after them check that every pinned paper
+value of criteria 4-11 is read and compared, and that a criterion that
+raises is reported as a failure.
 """
 
+import functools
 import io
+import random
+from fractions import Fraction
+
+import pytest
 
 import tilecohom.accept as accept
+from tilecohom.cli import main
+from tilecohom.exactfield import LatticeId, QuadRat, lattice_member
+from tilecohom.pointorbits import ConsistencyError
+
+#: The test name of each criterion, in CRITERIA order.
+NAMES = (
+    "01_window_combinatorics", "02_slicing_census", "03_homological_constants",
+    "04_gamma_zero", "05_gamma_zero_half", "06_gamma_third_sqrt3_zero",
+    "07_gamma_third_sqrt3_pair", "08_gamma_third_sqrt3_third",
+    "09_gamma_zero_sixth_sqrt3", "10_gamma_half_pair_cases",
+    "11_generic_sample", "12_property_suites",
+)
 
 
-def test_criterion_01_window_combinatorics():
-    result = accept.criterion_1()
-    assert result.number == 1
-    assert result.ok, result.detail
+def _criterion_test(position):
+    def test():
+        result = accept.CRITERIA[position]()
+        assert result.number == position + 1
+        assert result.ok, result.detail
+    return test
 
 
-def test_criterion_02_slicing_census():
-    result = accept.criterion_2()
-    assert result.number == 2
-    assert result.ok, result.detail
+for _position, _name in enumerate(NAMES):
+    globals()[f"test_criterion_{_name}"] = _criterion_test(_position)
 
 
-def test_criterion_03_homological_constants():
-    result = accept.criterion_3()
-    assert result.number == 3
-    assert result.ok, result.detail
-
-
-def test_criterion_04_gamma_zero():
-    result = accept.criterion_4()
-    assert result.number == 4
-    assert result.ok, result.detail
-
-
-def test_criterion_05_gamma_zero_half():
-    result = accept.criterion_5()
-    assert result.number == 5
-    assert result.ok, result.detail
-
-
-def test_criterion_06_gamma_third_sqrt3_zero():
-    result = accept.criterion_6()
-    assert result.number == 6
-    assert result.ok, result.detail
-
-
-def test_criterion_07_gamma_third_sqrt3_pair():
-    result = accept.criterion_7()
-    assert result.number == 7
-    assert result.ok, result.detail
-
-
-def test_criterion_08_gamma_third_sqrt3_third():
-    result = accept.criterion_8()
-    assert result.number == 8
-    assert result.ok, result.detail
-
-
-def test_criterion_09_gamma_zero_sixth_sqrt3():
-    result = accept.criterion_9()
-    assert result.number == 9
-    assert result.ok, result.detail
-
-
-def test_criterion_10_gamma_half_pair_cases():
-    result = accept.criterion_10()
-    assert result.number == 10
-    assert result.ok, result.detail
-
-
-def test_criterion_11_generic_sample():
-    result = accept.criterion_11()
-    assert result.number == 11
-    assert result.ok, result.detail
-
-
-def test_criterion_12_property_suites():
-    result = accept.criterion_12()
-    assert result.number == 12
-    assert result.ok, result.detail
+def test_every_criterion_has_its_test():
+    assert len(NAMES) == len(accept.CRITERIA)
 
 
 def test_run_all_prints_one_line_per_criterion(monkeypatch):
@@ -94,3 +58,95 @@ def test_run_all_prints_one_line_per_criterion(monkeypatch):
         "PASS criterion 1: stub pass",
         "FAIL criterion 2: stub fail [got 0, want 1]",
     ]
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, AssertionError, ValueError])
+def test_a_raising_criterion_fails_and_the_rest_still_run(monkeypatch, error):
+    def raising():
+        raise error("stage broke")
+
+    raising.title = "stub raise"
+    stubs = (
+        lambda: accept.CriterionResult(1, "stub pass", True, ""),
+        raising,
+        lambda: accept.CriterionResult(3, "stub after", True, ""),
+    )
+    monkeypatch.setattr(accept, "CRITERIA", stubs)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["--selftest"], out, err) == 3
+    assert out.getvalue().splitlines() == [
+        "PASS criterion 1: stub pass",
+        f"FAIL criterion 2: stub raise [{error.__name__}: stage broke]",
+        "PASS criterion 3: stub after",
+    ]
+    assert err.getvalue() == ""
+
+
+# -- every pinned value is read and compared --------------------------------------
+
+COMPUTED = functools.lru_cache(maxsize=None)(accept.compute)
+
+
+def _plus_one(field):
+    return lambda r: r._replace(**{field: getattr(r, field) + 1})
+
+
+#: Report changes, each moving some pinned readings; together they move all.
+PERTURBATIONS = {
+    **{f"{field} + 1": _plus_one(field)
+       for field in ("L1", "sum_L0alpha", "L0", "e", "h0", "h1", "h2")},
+    "last line type dropped": lambda r: r._replace(line_type_table=r.line_type_table[:-1]),
+    "every parity odd": lambda r: r._replace(line_type_table=tuple(
+        t._replace(parity="o") for t in r.line_type_table)),
+}
+
+
+def test_every_pinned_value_is_read_and_compared(monkeypatch):
+    unmoved = {(number, case.prefix + label)
+               for number, _, cases in accept.PINNED for case in cases
+               for label in case.values}
+    for name, perturb in PERTURBATIONS.items():
+        monkeypatch.setattr(accept, "compute", lambda gamma, p=perturb: p(COMPUTED(gamma)))
+        for number, title, cases in accept.PINNED:
+            wanted = []
+            for case in cases:
+                report = perturb(COMPUTED(case.gamma))
+                for label, want in case.values.items():
+                    got = accept.READERS[label](report)
+                    if got != want:
+                        wanted.append(f"{case.prefix}{label}: got {got!r}, want {want!r}")
+                        unmoved.discard((number, case.prefix + label))
+            result = accept.CRITERIA[number - 1]()
+            assert result == (number, title, not wanted, "; ".join(wanted)), name
+    assert not unmoved, f"no perturbation moves {sorted(unmoved)}"
+
+
+def test_every_gamma_condition_is_compared(monkeypatch):
+    monkeypatch.setattr(accept, "compute", COMPUTED)
+    negated = 0
+    for number, title, cases in accept.PINNED:
+        for c, case in enumerate(cases):
+            for k, (label, test, want) in enumerate(case.conditions):
+                conditions = list(case.conditions)
+                conditions[k] = (label, lambda g1, g2, t=test: not t(g1, g2), want)
+                changed = list(cases)
+                changed[c] = case._replace(conditions=tuple(conditions))
+                result = accept._pinned_criterion(number, title, changed)()
+                assert result.detail == f"{case.prefix}{label}: got {not want!r}, want {want!r}"
+                negated += 1
+    assert negated == 4
+
+
+def test_half_sqrt3_plus_one_g_is_g_over_sqrt3_minus_one():
+    # ((√3+1)/2)G = {((a+3b) + (a+b)√3)/2}: doubled coordinates are integers
+    # of equal parity.
+    rnd = random.Random(23)
+    values = [QuadRat(Fraction(rnd.randrange(-12, 12), rnd.choice((1, 2, 3, 4))),
+                      Fraction(rnd.randrange(-12, 12), rnd.choice((1, 2, 3, 4))))
+              for _ in range(400)]
+    for value in values:
+        doubled = value * QuadRat(2)
+        in_half = (doubled.p.denominator == doubled.q.denominator == 1
+                   and (doubled.p.numerator - doubled.q.numerator) % 2 == 0)
+        assert lattice_member(value * QuadRat(-1, 1), LatticeId.G) == in_half, value
+    assert sum(lattice_member(v * QuadRat(-1, 1), LatticeId.G) for v in values) > 20
