@@ -6,7 +6,6 @@ from .exactfield import (
     QuadRat,
     format_quadrat,
     lattice_member,
-    mod_canon,
     parse_quadrat,
 )
 
@@ -18,7 +17,6 @@ __all__ = [
     "QuadRat",
     "format_quadrat",
     "lattice_member",
-    "mod_canon",
     "parse_quadrat",
     "__version__",
 ]

@@ -55,17 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_gamma(args):
-    return reduce_gamma(parse_gamma(args.gamma))
-
-
 def _cmd_report(args):
-    result = compute(_load_gamma(args).pair())
+    result = compute(parse_gamma(args.gamma))
     return render(result, "json" if args.as_json else "text"), 0
 
 
 def _cmd_l1(args):
-    gamma = _load_gamma(args)
+    gamma = reduce_gamma(parse_gamma(args.gamma))
     orbits = orbit_partition(candidate_lines(gamma))
     counts = list(orbits.per_direction().values())
     reps = [
@@ -90,7 +86,7 @@ def _cmd_l1(args):
 
 
 def _cmd_tables(args):
-    result = compute(_load_gamma(args).pair())
+    result = compute(parse_gamma(args.gamma))
     if args.as_json:
         full = payload(result)
         return dump_json({key: full[key] for key in TABLES_KEYS}), 0

@@ -205,19 +205,6 @@ def lattice_member(a: QuadRat, lattice: LatticeId) -> bool:
     return scaled.p.denominator == 1 and scaled.q.denominator == 1
 
 
-def _frac_part(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def mod_canon(a: QuadRat) -> QuadRat:
-    """The reduction of a mod G: both coefficients taken into [0, 1).
-
-    mod_canon(a) == mod_canon(b) exactly when a - b lies in G, so coset
-    equality becomes structural equality (hashable, usable as dict key).
-    """
-    return QuadRat(_frac_part(a.p), _frac_part(a.q))
-
-
 # -- text form -------------------------------------------------------------------
 
 _ROOT_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\*?)?s(?:/([0-9]+))?")

@@ -12,8 +12,7 @@ Z[x] meets every direction line R*x^k in G*x^k.
 Every line already holds its rescaled anchor as an int point over the
 modulus n of its op (see cyclotomic), so the whole stage is int arithmetic:
 a point is an int 4-tuple over n, and reduction mod Z[x] is `% n` on every
-entry.  QuadRat appears only when a class key is decoded for display
-(GlobalClass.canon).
+entry.  A crossing class leaves the stage only as its int key over n.
 
 The crossings of a line alpha of direction x^i with all translates of a line
 beta of direction x^j fall into finitely many classes: one crossing point
@@ -25,8 +24,7 @@ dict of key -> the bitmask of the two crossing orbits, and requires the two
 dicts to be equal.  A global class is held only as the bitmask of its
 incident orbits (IntersectionTables.incidence), which with the number of
 direction pairs meeting each shared class is all that L0, e and the checks
-need; the sorted list of decoded classes (IntersectionTables.points) is
-built from the bitmasks only when it is read.
+need.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import XPOW, PlanePoint, cross, decode, decompose, xscale
+from .cyclotomic import XPOW, cross, decompose, xscale
 from .lineorbits import LineOrbitSet
 
 #: Multiplicity range for 0-singularities: at least two lines cross, at most
@@ -84,20 +82,6 @@ def coset_set(d: int) -> CosetSet:
     return CosetSet(d, tuple(sorted(classes)))
 
 
-class GlobalClass(NamedTuple):
-    """One orbit of 0-singularities, keyed by its Z[x]-coset over a modulus."""
-
-    key: tuple[int, int, int, int]
-    modulus: int
-    p: int
-    incident_orbits: tuple[int, ...]
-
-    @property
-    def canon(self) -> PlanePoint:
-        """The canonical coset representative, with coordinates in [0, 1)."""
-        return decode(self.key, self.modulus)
-
-
 class OrbitPointCount(NamedTuple):
     """L0^alpha for one line orbit, split by crossing multiplicity."""
 
@@ -123,7 +107,7 @@ class LineType(NamedTuple):
 
 
 class IntersectionTables(NamedTuple):
-    """The counts of build_tables, with the global classes held undecoded.
+    """The counts of build_tables, with the global classes held as int keys.
 
     incidence maps each class's Z[x] key over modulus to the bitmask of its
     incident orbits; build_tables has checked that every class was claimed
@@ -147,15 +131,6 @@ class IntersectionTables(NamedTuple):
     @property
     def sum_L0alpha(self) -> int:
         return sum(entry.total for entry in self.per_orbit)
-
-    @property
-    def points(self) -> tuple[GlobalClass, ...]:
-        """The global classes in key order, decoded on each read."""
-        classes = []
-        for key, members in sorted(self.incidence.items()):
-            orbits = tuple(b for b in range(members.bit_length()) if members >> b & 1)
-            classes.append(GlobalClass(key, self.modulus, len(orbits), orbits))
-        return tuple(classes)
 
 
 def build_tables(orbits: LineOrbitSet) -> IntersectionTables:

@@ -6,8 +6,8 @@ time, through `cyclotomic.decompose` on each anchor difference, and
 classes mod G that every other orbit claims, then their Z[x] keys.
 `tests/test_pointorbits.py` requires `pointorbits.build_tables`, which makes
 one pass per pair of directions instead, to return equal tables.  The
-oracle's tables are its own record, with every field, `points` included,
-built eagerly by its own loop.
+oracle's tables are its own record, with every field, the incidence dict
+included, built by its own loop.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,6 @@ from tilecohom.pointorbits import (
     P_MAX,
     P_MIN,
     ConsistencyError,
-    GlobalClass,
     LineType,
     OrbitPointCount,
     _group_types,
@@ -71,7 +70,7 @@ class ReferenceTables:
 
     per_orbit: tuple[OrbitPointCount, ...]
     types: tuple[LineType, ...]
-    points: tuple[GlobalClass, ...]
+    incidence: dict[tuple[int, int, int, int], int]
     L0_by_p: tuple[int, int, int, int, int]
     L0: int
     e: int
@@ -112,8 +111,7 @@ def reference_tables(orbits) -> ReferenceTables:
             entry["claims"] += 1
         per_orbit.append(OrbitPointCount(ia, directions[ia], tuple(by_p)))
 
-    n = reps[0].modulus if reps else OFFSET_MODULUS
-    points = []
+    incidence = {}
     l0_by_p = [0] * (P_MAX - P_MIN + 1)
     for key in sorted(global_incidence):
         entry = global_incidence[key]
@@ -124,7 +122,7 @@ def reference_tables(orbits) -> ReferenceTables:
                 " orbits; double counting broken"
             )
         l0_by_p[p - P_MIN] += 1
-        points.append(GlobalClass(key, n, p, entry["orbits"]))
+        incidence[key] = sum(1 << ia for ia in entry["orbits"])
 
     for p in range(P_MIN, P_MAX + 1):
         on_lines = sum(entry.by_p[p - P_MIN] for entry in per_orbit)
@@ -134,11 +132,11 @@ def reference_tables(orbits) -> ReferenceTables:
                 f" not {p} * {l0_by_p[p - P_MIN]}"
             )
 
-    l0 = len(points)
+    l0 = len(incidence)
     return ReferenceTables(
         per_orbit=tuple(per_orbit),
         types=_group_types(per_orbit),
-        points=tuple(points),
+        incidence=incidence,
         L0_by_p=tuple(l0_by_p),
         L0=l0,
         e=-l0 + sum(entry.total for entry in per_orbit),

@@ -3,21 +3,27 @@
 Each criterion test runs the matching checker of tilecohom.accept.CRITERIA
 and reports its failure detail verbatim, so `pytest -v` gives one pass/fail
 line per criterion.  The tests after them check that every pinned paper
-value of criteria 4-11 is read and compared, and that a criterion that
-raises is reported as a failure.
+value of criteria 4-11 is read and compared, that the benchmark's copy of
+those values agrees with them, that a criterion that raises is reported as
+a failure, and that criterion 12 fails on a wrong closed form.
 """
 
 import functools
+import importlib.util
 import io
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import tilecohom.accept as accept
 from tilecohom.cli import main
 from tilecohom.exactfield import LatticeId, QuadRat, lattice_member
+from tilecohom.lineorbits import reduce_gamma
 from tilecohom.pointorbits import ConsistencyError
+from tilecohom.report import parse_gamma
 
 #: The test name of each criterion, in CRITERIA order.
 NAMES = (
@@ -150,3 +156,73 @@ def test_half_sqrt3_plus_one_g_is_g_over_sqrt3_minus_one():
                    and (doubled.p.numerator - doubled.q.numerator) % 2 == 0)
         assert lattice_member(value * QuadRat(-1, 1), LatticeId.G) == in_half, value
     assert sum(lattice_member(v * QuadRat(-1, 1), LatticeId.G) for v in values) > 20
+
+
+# -- the benchmark's copy of the paper values ----------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "tilecohom_bench", Path(__file__).resolve().parent.parent / "bench" / "run.py")
+bench = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = bench  # dataclasses resolve annotations through it
+_spec.loader.exec_module(bench)
+
+#: The PINNED label of each bench/run.py PAPER_VALUES label read on its own.
+BENCH_LABELS = {"L1": "L1", "sum_L0alpha": "sum L0^a", "L0": "L0", "e": "e",
+                "h2": "rk H2", "type_totals": "type totals",
+                "odd_type_totals": "odd type totals"}
+
+
+def _bench_readings(row):
+    """A PAPER_VALUES row as {PINNED label: value}: h0, h1 and h2 together
+    are the ranks, and a profile row [n, by_p] is the pair (n, by_p)."""
+    row = dict(row)
+    readings = {}
+    if "h0" in row:
+        readings["ranks"] = (row.pop("h0"), row.pop("h1"), row.pop("h2"))
+    if "profile" in row:
+        readings["profile"] = [(n, tuple(by_p)) for n, by_p in row.pop("profile")]
+    readings.update((BENCH_LABELS[label], value) for label, value in row.items())
+    return readings
+
+
+def test_bench_paper_values_are_the_pinned_ones():
+    cases = {case.gamma: case for number, _, cases in accept.PINNED if number <= 10
+             for case in cases}
+    rows = {}
+    for text, row in bench.PAPER_VALUES.items():
+        gamma = parse_gamma(text)
+        assert gamma in cases, f"{text}: no γ of criteria 4-10"
+        readings = _bench_readings(row)
+        values = cases[gamma].values
+        assert readings == {label: values.get(label) for label in readings}, text
+        # the bench rows of criteria 8-10 do not hold their L1
+        assert set(values) - set(readings) <= {"L1"}, text
+        rows[gamma] = text
+    assert set(rows) == set(cases)
+
+
+# -- criterion 12 against a wrong closed form -----------------------------------------
+
+#: The generic γ of criterion 11.
+GENERIC_GAMMA = accept.PINNED[-1][2][0].gamma
+
+
+@pytest.mark.parametrize("shift, off_grid", [(Fraction(1, 3), False), (Fraction(1, 5), True)],
+                         ids=["on-grid", "off-grid"])
+def test_criterion_12_fails_on_a_wrong_closed_form(monkeypatch, shift, off_grid):
+    # c1 of the first lead-0 closed form moved by 1/3 keeps its points on the
+    # 1/N grid of the generic γ (N = 6 times the lcm of its denominators) and
+    # by 1/5 moves them off it; either way the six orbits that instantiate
+    # it fail, and nothing raises.
+    first, *rest = accept.CROSS_CLASS_LISTS[0]
+    (c1, c2), offsets = first
+    monkeypatch.setitem(accept.CROSS_CLASS_LISTS, 0,
+                        (((c1 + QuadRat(shift), c2), offsets), *rest))
+    failures = accept.class_lists_match(reduce_gamma(GENERIC_GAMMA))
+    assert len({failure.split(" at ")[0] for failure in failures}) == len(failures) == 6
+    assert all(("off the 1/" in failure) == off_grid for failure in failures)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["--selftest"], out, err) == 3
+    assert [line.split(":")[0] for line in out.getvalue().splitlines()] == [
+        *(f"PASS criterion {k}" for k in range(1, 12)), "FAIL criterion 12"]
+    assert err.getvalue() == ""

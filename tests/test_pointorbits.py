@@ -21,11 +21,9 @@ import tilecohom.pointorbits
 from tilecohom.pointorbits import (
     OFFSET_MODULUS,
     ConsistencyError,
-    IntersectionTables,
     build_tables,
     coset_set,
 )
-from tilecohom.report import compute, render
 
 from crossing_oracle import global_key, lambda_classes, reference_tables
 from line_helper import lines_over
@@ -52,13 +50,12 @@ A4 = (q(0), q(Fraction(1, 2)), q(0, Fraction(1, 2)), q(Fraction(1, 2), Fraction(
 
 
 def engine_keys(tables, orbit_count):
-    """Each orbit's set of class keys, built in one pass over the points
-    with each canonical representative decoded once."""
+    """Each orbit's set of class keys, read off the incidence bits."""
     keys = [set() for _ in range(orbit_count)]
-    for gc in tables.points:
-        canon = gc.canon
-        for idx in gc.incident_orbits:
-            keys[idx].add((canon.u, canon.v))
+    for key, members in tables.incidence.items():
+        for idx in range(orbit_count):
+            if members >> idx & 1:
+                keys[idx].add(key)
     return keys
 
 
@@ -329,7 +326,8 @@ def test_fused_tables_match_the_reference():
         orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
         fused, reference = build_tables(orbits), reference_tables(orbits)
         assert fused.per_orbit == reference.per_orbit, raw
-        assert fused.points == reference.points, raw
+        assert fused.incidence == reference.incidence, raw
+        assert fused.modulus == orbits.orbits[0].representative.modulus, raw
         assert fused.types == reference.types, raw
         assert fused.L0_by_p == reference.L0_by_p, raw
         assert (fused.L0, fused.e) == (reference.L0, reference.e), raw
@@ -383,24 +381,7 @@ def test_tables_repr_leaves_out_the_incidence():
     assert f"modulus={tables.modulus})" in text
     assert "incidence" not in text
     assert not any(repr(key) in text for key in tables.incidence)
-    first = tables.points
-    assert tables.points == first and len(first) == tables.L0
-
-
-def _points_refused(monkeypatch):
-    """Make reading IntersectionTables.points fail the test."""
-    def refused(tables):
-        raise AssertionError("IntersectionTables.points was read")
-
-    monkeypatch.setattr(IntersectionTables, "points", property(refused))
-
-
-def test_compute_never_reads_the_points(monkeypatch):
-    _points_refused(monkeypatch)
-    for raw, l1, _, l0, e, *_ in WORKED_CASES:
-        report = compute(raw)
-        assert (report.L1, report.L0, report.e) == (l1, l0, e)
-        assert render(report, "json").startswith(b"{")
+    assert len(tables.incidence) == tables.L0
 
 
 @pytest.mark.parametrize("kept, message", [
@@ -412,7 +393,7 @@ def test_checks_run_before_the_points_are_read(monkeypatch, kept, message):
     # miss classes that orbits of direction 3 still claim.  Dropping the
     # zero offset breaks a shared class's line set, dropping the last one
     # leaves a class of p = 2 claimed once; build_tables itself refuses
-    # both, with points never read.
+    # both, before any caller reads the classes.
     chart = tilecohom.pointorbits._pair_chart
     alpha_side, beta_side, k, steps = chart(0, 3)
     assert len(steps) == 4
@@ -422,7 +403,6 @@ def test_checks_run_before_the_points_are_read(monkeypatch, kept, message):
             return alpha_side, beta_side, k, steps[kept]
         return chart(i, j)
 
-    _points_refused(monkeypatch)
     monkeypatch.setattr(tilecohom.pointorbits, "_pair_chart", truncated)
     for raw in ((q(0), q(0)), GENERIC_GAMMA):
         orbits = orbit_partition(candidate_lines(reduce_gamma(raw)))
